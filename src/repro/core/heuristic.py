@@ -1,21 +1,25 @@
 """MBC-Heu — the greedy heuristic of Algorithm 3.
 
 Starting from an anchor vertex ``u`` (the implementation note in the
-paper picks the vertex maximizing ``min(d+(u), d-(u))``), build the
-dichromatic network ``g_u`` and greedily grow a clique: repeatedly take
-the maximum-degree vertex of the current candidate subgraph, preferring
-the side that is currently smaller so the result stays balanced, and
+paper picks the vertex maximizing ``min(d+(u), d-(u))``), grow a clique
+inside the dichromatic network ``g_u``: repeatedly take the
+maximum-degree vertex of the current candidate subgraph, preferring the
+side that is currently smaller so the result stays balanced, and
 restrict the candidates to the new vertex's neighbourhood.
 
-Runs in ``O(m)``; the result (when it meets the polarization constraint
-``tau``) seeds MBC* with a lower bound — the ``Heu`` column of Table IV.
+One growth pass is ``O(m)``; trying ``tries`` anchors costs
+``O(tries * m)``.  The result (when it meets the polarization
+constraint ``tau``) seeds MBC* with a lower bound — the ``Heu`` column
+of Table IV.
 """
 
 from __future__ import annotations
 
-from ..dichromatic.build import build_dichromatic_network, \
-    build_dichromatic_network_bits, build_dichromatic_network_matrix
-from ..kernels import npmask, validate_engine
+import heapq
+
+from ..dichromatic.build import build_dichromatic_network
+from ..kernels import validate_engine
+from ..kernels.bitset import bits_of
 from ..signed.graph import SignedGraph
 from .result import EMPTY_RESULT, BalancedClique
 
@@ -28,6 +32,7 @@ def mbc_heuristic(
     anchor: int | None = None,
     tries: int = 8,
     engine: str = "bitset",
+    alive: int | None = None,
 ) -> BalancedClique:
     """Greedy balanced clique satisfying ``tau``, or the empty result.
 
@@ -47,114 +52,109 @@ def mbc_heuristic(
         anchor; trying a handful costs ``O(tries * m)`` and makes the
         initial bound far more robust).
     engine:
-        ``"bitset"`` (default) grows the clique over mask adjacency,
-        ``"numpy"`` over the uint64 mask-matrix kernels (same lowest-id
-        tie-break as bitset); ``"set"`` is the original implementation.
-        Tie-breaking while picking the max-degree vertex may differ
-        between engines, so the greedy results can legitimately
-        diverge — all are valid lower bounds for the exact search they
-        seed.
+        ``"bitset"`` (default) and ``"numpy"`` grow the clique straight
+        on the graph's cached adjacency masks (one pass per anchor
+        touches only a few masks, so there is nothing for the matrix
+        kernels to batch); ``"set"`` is the original implementation.
+        The mask growth picks the lowest id among equal-degree
+        candidates and anchors are ranked stably by id; the set
+        engine's ties follow set iteration order, so its greedy result
+        can legitimately differ — all are valid lower bounds for the
+        exact search they seed.
+    alive:
+        Optional vertex mask restricting the heuristic to the induced
+        subgraph ``G[alive]`` (MBC* passes the ``VertexReduction``
+        survivors); degrees, anchors and growth all stay inside it and
+        the clique is in ``graph``'s own vertex ids.
     """
     validate_engine(engine)
-    if engine == "bitset":
-        grow = _grow_from_bits
-    elif engine == "numpy":
-        grow = _grow_from_np
-    else:
-        grow = _grow_from
-    if graph.num_vertices == 0:
+    if graph.num_vertices == 0 or alive == 0:
         return EMPTY_RESULT
+    members = list(graph.vertices()) if alive is None else bits_of(alive)
+    keep = set(members) if engine == "set" and alive is not None \
+        else None
     if anchor is not None:
-        return grow(graph, anchor, tau)
-    ranked = sorted(
-        graph.vertices(),
-        key=lambda v: min(graph.pos_degree(v), graph.neg_degree(v)),
-        reverse=True)
+        anchors = [anchor]
+    else:
+        # ``nlargest`` equals the stable ``sorted(..., reverse=True)``
+        # prefix: ties keep ascending id order.
+        anchors = heapq.nlargest(
+            max(tries, 1), members,
+            key=lambda v: _balance(graph, v, alive, keep))
     best = EMPTY_RESULT
-    for candidate in ranked[:max(tries, 1)]:
-        clique = grow(graph, candidate, tau)
+    for candidate in anchors:
+        if engine == "set":
+            clique = _grow_from(graph, candidate, tau, keep)
+        else:
+            clique = _grow_from_bits(graph, candidate, tau, alive)
         if clique.size > best.size:
             best = clique
     return best
 
 
+def _balance(graph: SignedGraph, v: int, alive: int | None,
+             keep: "set[int] | None") -> int:
+    """Anchor rank ``min(d+(v), d-(v))`` with degrees counted inside
+    ``alive``: set intersections when the set engine passes ``keep``
+    (the same vertices as a set), mask popcounts otherwise."""
+    if alive is None:
+        return min(graph.pos_degree(v), graph.neg_degree(v))
+    if keep is not None:
+        return min(len(graph.pos_neighbors(v) & keep),
+                   len(graph.neg_neighbors(v) & keep))
+    return min((graph.pos_adjacency_bits()[v] & alive).bit_count(),
+               (graph.neg_adjacency_bits()[v] & alive).bit_count())
+
+
 def _grow_from_bits(
-    graph: SignedGraph, anchor: int, tau: int
+    graph: SignedGraph, anchor: int, tau: int, alive: int | None
 ) -> BalancedClique:
-    """Bitset fast path of :func:`_grow_from`."""
-    network = build_dichromatic_network_bits(graph, anchor)
-    adj = network.adjacency_bits()
-    left_bits = network.left_bits()
-    active = network.all_bits()
-    origin = network.origin
+    """Bitset fast path of :func:`_grow_from`, on the global masks.
+
+    The network ``g_u`` is never built: its L/R sides are the anchor's
+    positive/negative neighbours, and a candidate's neighbourhood in
+    ``g_u`` is its positive neighbours on its own side plus its
+    negative neighbours on the other side.  So the candidate pools are
+    two masks over ``graph``'s ids and each degree is one popcount of
+    ``(pos[v] & same) | (neg[v] & other)``.
+    """
+    pos = graph.pos_adjacency_bits()
+    neg = graph.neg_adjacency_bits()
+    left_pool = pos[anchor]
+    right_pool = neg[anchor]
+    if alive is not None:
+        left_pool &= alive
+        right_pool &= alive
     left: set[int] = {anchor}
     right: set[int] = set()
 
-    while active:
-        left_pool = active & left_bits
-        right_pool = active & ~left_bits
+    while left_pool or right_pool:
         take_right = not left_pool or (right_pool and
                                        len(left) >= len(right))
-        pool = right_pool if take_right else left_pool
+        same, other = (right_pool, left_pool) if take_right \
+            else (left_pool, right_pool)
         best_v = -1
         best_degree = -1
-        rest = pool
+        rest = same
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            degree = (adj[v] & active).bit_count()
+            degree = ((pos[v] & same) | (neg[v] & other)).bit_count()
             if degree > best_degree:
                 best_degree = degree
                 best_v = v
         v = best_v
-        if left_bits & (1 << v):
-            left.add(origin[v])
+        # ``v``'s own side keeps its positive neighbours, the other
+        # side its negative ones (``v`` itself is in neither mask).
+        if take_right:
+            right.add(v)
+            right_pool &= pos[v]
+            left_pool &= neg[v]
         else:
-            right.add(origin[v])
-        active &= adj[v]
-
-    clique = BalancedClique.from_sides(left, right)
-    if clique.satisfies(tau):
-        return clique
-    return EMPTY_RESULT
-
-
-def _grow_from_np(
-    graph: SignedGraph, anchor: int, tau: int
-) -> BalancedClique:
-    """Numpy fast path of :func:`_grow_from`.
-
-    The per-step max-degree scan is one vectorised degree pass plus a
-    masked argmax (first occurrence = lowest id, matching the bitset
-    engine's tie-break).
-    """
-    network = build_dichromatic_network_matrix(graph, anchor)
-    mat = network.adjacency_matrix()
-    left_row = network.left_row()
-    n = network.num_vertices
-    active = network.all_row()
-    origin = network.origin
-    left: set[int] = {anchor}
-    right: set[int] = set()
-
-    while True:
-        left_alive = npmask.row_bool(active & left_row, n)
-        right_alive = npmask.row_bool(active & ~left_row, n)
-        has_left = bool(left_alive.any())
-        has_right = bool(right_alive.any())
-        if not has_left and not has_right:
-            break
-        take_right = not has_left or (has_right and
-                                      len(left) >= len(right))
-        alive = right_alive if take_right else left_alive
-        degree = npmask.degrees_in_active(mat, active)
-        v = npmask.argmax_active(degree, alive)
-        if npmask.test_bit(left_row, v):
-            left.add(origin[v])
-        else:
-            right.add(origin[v])
-        active = active & mat[v]
+            left.add(v)
+            left_pool &= pos[v]
+            right_pool &= neg[v]
 
     clique = BalancedClique.from_sides(left, right)
     if clique.satisfies(tau):
@@ -163,10 +163,10 @@ def _grow_from_np(
 
 
 def _grow_from(
-    graph: SignedGraph, anchor: int, tau: int
+    graph: SignedGraph, anchor: int, tau: int, alive: "set[int] | None"
 ) -> BalancedClique:
     """One greedy growth pass from ``anchor`` (Algorithm 3 proper)."""
-    network = build_dichromatic_network(graph, anchor)
+    network = build_dichromatic_network(graph, anchor, alive)
     active = set(network.vertices())
     left: set[int] = {anchor}
     right: set[int] = set()

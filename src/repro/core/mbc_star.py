@@ -33,7 +33,7 @@ from ..kernels.active import (
     degeneracy_ordering_mask,
     k_core_active_mask,
 )
-from ..kernels.bitset import iter_bits
+from ..kernels.bitset import bits_of, mask_of
 from ..obs import Tracer, current_tracer
 from ..parallel.engine import mbc_ego_fanout, resolve_workers
 from ..resilience.budget import Budget, BudgetExceeded
@@ -180,33 +180,41 @@ def _pipeline(
 ) -> BalancedClique:
     """The MBC* pipeline behind :func:`mbc_star` (root span open)."""
     # Line 1: VertexReduction (plus EdgeReduction for the variant).
-    with tracer.span("vertex_reduction", n=graph.num_vertices) as phase:
-        alive = vertex_reduction(graph, tau)
-        working, mapping = graph.subgraph(alive)
-        phase.set(kept=working.num_vertices)
+    # Every later phase runs in the caller's vertex ids on the
+    # survivors' ``alive`` mask over the graph's cached adjacency masks:
+    # no relabelled subgraph copy is ever built.
+    working = graph
+    n = graph.num_vertices
+    with tracer.span("vertex_reduction", n=n) as phase:
+        survivors = vertex_reduction(graph, tau)
+        alive = mask_of(survivors)
+        phase.set(kept=len(survivors))
     if use_edge_reduction:
+        # EdgeReduction runs on a copy whose non-survivors are
+        # isolated, which is the vertex-reduced graph in the caller's
+        # ids, so the fixpoint matches reducing the induced subgraph.
+        working = graph.copy()
+        for v in graph.vertices():
+            if v not in survivors:
+                working.isolate_vertex(v)
         with tracer.span("edge_reduction",
                          edges=working.num_edges) as phase:
             reducer = edge_reduction_fast if engine == "bitset" \
                 else edge_reduction
             working = reducer(working, tau)
-            alive2 = vertex_reduction(working, tau)
-            if len(alive2) < working.num_vertices:
-                working, mapping2 = working.subgraph(alive2)
-                mapping = [mapping[idx] for idx in mapping2]
+            survivors = vertex_reduction(working, tau)
+            alive = mask_of(survivors)
             phase.set(kept_edges=working.num_edges,
-                      kept=working.num_vertices)
+                      kept=len(survivors))
 
     # Line 2: heuristic initial solution.
     with tracer.span("heuristic") as phase:
-        heuristic = mbc_heuristic(working, tau, engine=engine)
+        heuristic = mbc_heuristic(working, tau, engine=engine, alive=alive)
         phase.set(size=heuristic.size)
     if stats is not None:
         stats.heuristic_size = heuristic.size
     if heuristic.size > best.size:
-        best = BalancedClique.from_sides(
-            {mapping[v] for v in heuristic.left},
-            {mapping[v] for v in heuristic.right})
+        best = heuristic
     if check_only and best.satisfies(tau) and not best.is_empty:
         return best
 
@@ -221,37 +229,31 @@ def _pipeline(
 
     # Line 3: reduce to the |C*|-core, signs ignored.  ``required`` is
     # the minimum acceptable clique size: beat the incumbent and leave
-    # room for tau vertices per side.
+    # room for tau vertices per side.  Degrees count inside ``alive``.
     required = max(best.size + 1, 2 * tau)
     with tracer.span("core_reduction", required=required) as phase:
-        core_alive: set[int] | None = None
         if engine == "bitset":
-            unsigned = UnsignedGraph.from_signed_bits(working)
+            unsigned_bits = UnsignedGraph.from_signed_bits(
+                working).adjacency_bits()
             core_mask = k_core_active_mask(
-                unsigned.adjacency_bits(), required - 1,
-                unsigned.all_bits())
-            phase.set(kept=core_mask.bit_count())
-            if not core_mask:
-                return best
+                unsigned_bits, required - 1, alive)
+            core = bits_of(core_mask)
         elif engine == "numpy":
             # Label-blind adjacency straight from the signed matrices;
             # no UnsignedGraph object is needed on this path.
             unsigned_mat = (working.pos_adjacency_matrix()
                             | working.neg_adjacency_matrix())
+            alive_row = npmask.row_from_mask(alive, n)
             core_row = npmask.k_core_active(
-                unsigned_mat, required - 1,
-                npmask.full_row(working.num_vertices))
-            core_kept = npmask.row_count(core_row)
-            phase.set(kept=core_kept)
-            if core_kept == 0:
-                return best
+                unsigned_mat, required - 1, alive_row)
+            core = npmask.row_indices(core_row, n).tolist()
         else:
             unsigned = UnsignedGraph.from_signed(working)
-            core_alive = k_core_subset(
-                unsigned, required - 1, unsigned.vertices())
-            phase.set(kept=len(core_alive))
-            if not core_alive:
-                return best
+            core = sorted(k_core_subset(
+                unsigned, required - 1, survivors))
+        phase.set(kept=len(core))
+        if not core:
+            return best
 
     # Line 4: vertex ordering (degeneracy by default; ego-networks of
     # higher-ranked neighbours then have at most degeneracy(G) many
@@ -262,32 +264,28 @@ def _pipeline(
                 # Ordering the core-induced subgraph suffices: every
                 # clique able to beat the incumbent lies inside the
                 # |C*|-core, and the sweep only ever ranks core vertices.
-                order = degeneracy_ordering_mask(
-                    unsigned.adjacency_bits(), core_mask)
+                order = degeneracy_ordering_mask(unsigned_bits, core_mask)
             elif engine == "numpy":
                 order = npmask.degeneracy_ordering(
                     unsigned_mat, core_row)
             else:
-                full_order = degeneracy_ordering(unsigned)
-                order = [v for v in full_order if v in core_alive]
-        else:
-            if core_alive is None:
-                if engine == "bitset":
-                    core_alive = set(iter_bits(core_mask))
-                else:
-                    core_alive = set(npmask.row_indices(
-                        core_row, working.num_vertices).tolist())
-            if ordering == "degree":
-                if engine == "numpy":
-                    degrees = npmask.degrees_in_active(
-                        unsigned_mat,
-                        npmask.full_row(working.num_vertices))
-                    order = sorted(
-                        core_alive, key=lambda v: int(degrees[v]))
-                else:
-                    order = sorted(core_alive, key=unsigned.degree)
+                core_set = set(core)
+                order = [v for v in degeneracy_ordering(
+                    unsigned, survivors) if v in core_set]
+        elif ordering == "degree":
+            # Non-decreasing degree inside ``alive``, ties by id.
+            if engine == "bitset":
+                order = sorted(core, key=lambda v: (
+                    unsigned_bits[v] & alive).bit_count())
+            elif engine == "numpy":
+                degrees = npmask.degrees_in_active(
+                    unsigned_mat, alive_row)
+                order = sorted(core, key=lambda v: int(degrees[v]))
             else:
-                order = sorted(core_alive)
+                order = sorted(core, key=lambda v: len(
+                    unsigned.neighbors(v) & survivors))
+        else:
+            order = core
         phase.set(n=len(order))
     rank = {v: position for position, v in enumerate(order)}
 
@@ -299,7 +297,8 @@ def _pipeline(
     if workers > 1 and engine_spec(engine).supports_parallel \
             and not check_only:
         return mbc_ego_fanout(
-            working, mapping, tau, best, order, workers,
+            working.pos_adjacency_bits(), working.neg_adjacency_bits(),
+            n, tau, best, order, workers,
             use_core=use_core, use_coloring=use_coloring, stats=stats,
             engine=engine, trace=tracer, budget=budget)
 
@@ -309,8 +308,8 @@ def _pipeline(
     # the current one).
     with tracer.span("sweep", n=len(order)):
         allowed_mask = 0
-        allowed_row = npmask.row_from_mask(
-            0, working.num_vertices) if engine == "numpy" else None
+        allowed_row = npmask.row_from_mask(0, n) \
+            if engine == "numpy" else None
         for u in reversed(order):
             # Anytime contract: a budgeted sweep stops between (or,
             # via the per-node spend inside solve_mdc, within) ego
@@ -320,7 +319,7 @@ def _pipeline(
                     budget.check()
                 except BudgetExceeded:
                     break
-            with tracer.span("ego", v=mapping[u]) as ego:
+            with tracer.span("ego", v=u) as ego:
                 required = max(best.size + 1, 2 * tau)
                 this_allowed_mask = allowed_mask
                 allowed_mask |= 1 << u
@@ -336,11 +335,16 @@ def _pipeline(
                 # straight from global adjacency masks and hands the
                 # surviving mask to solve_mdc.
                 if engine == "bitset":
-                    network = build_dichromatic_network_bits(
-                        working, u, this_allowed_mask)
-                    if network.num_vertices + 1 < required:
+                    # g_u's vertex count is one popcount away; only
+                    # build the network when it can hold the bar.
+                    candidates = (working.pos_adjacency_bits()[u]
+                                  | working.neg_adjacency_bits()[u])
+                    if (candidates & this_allowed_mask).bit_count() + 1 \
+                            < required:
                         ego.set(pruned="size")
                         continue
+                    network = build_dichromatic_network_bits(
+                        working, u, this_allowed_mask)
                     adj_bits = network.adjacency_bits()
                     active_mask = network.all_bits()
                     if use_core:
@@ -471,10 +475,10 @@ def _pipeline(
                 ego.set(found=found is not None)
                 if found is None:
                     continue
-                left = {mapping[u]}
+                left = {u}
                 right: set[int] = set()
                 for v in found:
-                    orig = mapping[network.origin[v]]
+                    orig = network.origin[v]
                     if network.is_left[v]:
                         left.add(orig)
                     else:

@@ -28,6 +28,7 @@ from ..dichromatic.dcc import dichromatic_clique_witness
 from ..kernels import engine_spec, npmask, validate_engine
 from ..kernels.active import active_edge_count_mask, bicore_active_mask, \
     degeneracy_ordering_mask
+from ..kernels.bitset import mask_of
 from ..obs import Tracer, current_tracer
 from ..parallel.engine import pf_round_fanout, resolve_workers
 from ..resilience.budget import Budget, BudgetExceeded
@@ -282,31 +283,31 @@ def _pf_pipeline(
         except BudgetExceeded:
             return tau_star, witness
 
-    # Line 2: VertexReduction for tau* + 1.
-    with tracer.span("vertex_reduction", n=graph.num_vertices) as phase:
-        alive = vertex_reduction(graph, tau_star + 1)
-        working, mapping = graph.subgraph(alive)
-        phase.set(kept=working.num_vertices)
+    # Line 2: VertexReduction for tau* + 1.  The survivors stay in the
+    # caller's ids as the ``alive`` mask the later phases AND in.
+    n = graph.num_vertices
+    with tracer.span("vertex_reduction", n=n) as phase:
+        survivors = vertex_reduction(graph, tau_star + 1)
+        alive = mask_of(survivors)
+        phase.set(kept=len(survivors))
 
-    # Line 3: total ordering.
+    # Line 3: total ordering of G[alive].
     with tracer.span("ordering", kind=ordering) as phase:
+        pn: "list[int] | None" = None
         if ordering == "polarization":
-            order, pn = polar_core_numbers(working)
+            order, pn = polar_core_numbers(graph, alive)
         elif engine == "bitset":
-            unsigned = UnsignedGraph.from_signed_bits(working)
             order = degeneracy_ordering_mask(
-                unsigned.adjacency_bits(), unsigned.all_bits())
-            pn = None
+                UnsignedGraph.from_signed_bits(graph).adjacency_bits(),
+                alive)
         elif engine == "numpy":
-            unsigned_mat = (working.pos_adjacency_matrix()
-                            | working.neg_adjacency_matrix())
+            unsigned_mat = (graph.pos_adjacency_matrix()
+                            | graph.neg_adjacency_matrix())
             order = npmask.degeneracy_ordering(
-                unsigned_mat, npmask.full_row(working.num_vertices))
-            pn = None
+                unsigned_mat, npmask.row_from_mask(alive, n))
         else:
             order = degeneracy_ordering(
-                UnsignedGraph.from_signed(working))
-            pn = None
+                UnsignedGraph.from_signed(graph), survivors)
         phase.set(n=len(order))
     rank = {v: position for position, v in enumerate(order)}
 
@@ -314,7 +315,8 @@ def _pf_pipeline(
     # the serial sweep (identical beta(G); see repro.parallel).
     if workers > 1 and engine_spec(engine).supports_parallel:
         return pf_round_fanout(
-            working, mapping, order, pn, tau_star, witness, workers,
+            graph.pos_adjacency_bits(), graph.neg_adjacency_bits(), n,
+            order, pn, tau_star, witness, workers,
             stats=stats, engine=engine, trace=tracer, budget=budget)
 
     # Lines 4-8: reverse-order sweep with DCC checks.  As in MBC*, the
@@ -322,8 +324,8 @@ def _pf_pipeline(
     # already-processed vertices.
     with tracer.span("sweep", n=len(order)):
         allowed_mask = 0
-        allowed_row = npmask.row_from_mask(
-            0, working.num_vertices) if engine == "numpy" else None
+        allowed_row = npmask.row_from_mask(0, n) \
+            if engine == "numpy" else None
         for u in reversed(order):
             if pn is not None and pn[u] <= tau_star:
                 # Lemma 5: pn(u) >= gamma(g_u); nothing later helps.
@@ -335,7 +337,7 @@ def _pf_pipeline(
                     budget.check()
                 except BudgetExceeded:
                     break
-            with tracer.span("ego", v=mapping[u], bar=tau_star) as ego:
+            with tracer.span("ego", v=u, bar=tau_star) as ego:
                 this_allowed_mask = allowed_mask
                 allowed_mask |= 1 << u
                 if allowed_row is not None:
@@ -345,14 +347,14 @@ def _pf_pipeline(
                     stats.vertices_examined += 1
                 if engine == "bitset":
                     network = build_dichromatic_network_bits(
-                        working, u, this_allowed_mask)
+                        graph, u, this_allowed_mask)
                 elif engine == "numpy":
                     network = build_dichromatic_network_matrix(
-                        working, u, this_allowed_row)
+                        graph, u, this_allowed_row)
                 else:
                     allowed = HigherRanked(rank, rank[u])
                     network = build_dichromatic_network(
-                        working, u, allowed)
+                        graph, u, allowed)
                 # Line 6: (tau*+1, tau*+1)-core of g_u; thresholds
                 # shifted because u (an L-vertex adjacent to everyone)
                 # is excluded.
@@ -390,19 +392,19 @@ def _pf_pipeline(
                     stats.instances += 1
                     if engine == "bitset":
                         ego_edges = ego_network_edge_count_bits(
-                            working, u, this_allowed_mask)
+                            graph, u, this_allowed_mask)
                         reduced = active_edge_count_mask(
                             adj_bits, active_mask)
                     elif engine == "numpy":
                         ego_edges = ego_edge_count_from_matrix(
-                            working.pos_adjacency_matrix(),
-                            working.neg_adjacency_matrix(),
+                            graph.pos_adjacency_matrix(),
+                            graph.neg_adjacency_matrix(),
                             u, this_allowed_row)
                         reduced = npmask.active_edge_count(
                             adj_mat, active_row)
                     else:
                         ego_edges = ego_network_edge_count(
-                            working, u, allowed)
+                            graph, u, allowed)
                         reduced = sum(
                             len(network.neighbors(v) & active)
                             for v in active) // 2
@@ -433,10 +435,10 @@ def _pf_pipeline(
                 ego.set(found=found is not None)
                 if found is not None:
                     tau_star += 1
-                    left = {mapping[u]}
+                    left = {u}
                     right: set[int] = set()
                     for v in found:
-                        orig = mapping[network.origin[v]]
+                        orig = network.origin[v]
                         if network.is_left[v]:
                             left.add(orig)
                         else:

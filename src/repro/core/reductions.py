@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
+from ..kernels.bitset import bits_of
 from ..signed.graph import SignedGraph
 
 __all__ = [
@@ -39,35 +40,33 @@ def vertex_reduction(graph: SignedGraph, tau: int) -> set[int]:
     sides both have ``>= tau`` vertices is contained in the returned
     set.  ``O(n + m)``.
     """
-    alive = set(graph.vertices())
+    n = graph.num_vertices
     if tau <= 0:
-        return alive
-    pos_deg = {v: graph.pos_degree(v) for v in alive}
-    neg_deg = {v: graph.neg_degree(v) for v in alive}
-
-    def violates(v: int) -> bool:
-        return pos_deg[v] < tau - 1 or neg_deg[v] < tau
-
-    queue = deque(v for v in alive if violates(v))
-    queued = set(queue)
-    while queue:
-        v = queue.popleft()
-        if v not in alive:
-            continue
-        alive.discard(v)
+        return set(range(n))
+    need_pos = tau - 1
+    pos_deg = [graph.pos_degree(v) for v in range(n)]
+    neg_deg = [graph.neg_degree(v) for v in range(n)]
+    # A vertex is marked removed when it is queued; the survivor set is
+    # the unique fixpoint whatever the peeling order.
+    removed = bytearray(n)
+    queue = [v for v in range(n)
+             if pos_deg[v] < need_pos or neg_deg[v] < tau]
+    for v in queue:
+        removed[v] = 1
+    for v in queue:  # grows while it is walked
         for u in graph.pos_neighbors(v):
-            if u in alive:
+            if not removed[u]:
                 pos_deg[u] -= 1
-                if u not in queued and violates(u):
+                if pos_deg[u] < need_pos:
+                    removed[u] = 1
                     queue.append(u)
-                    queued.add(u)
         for u in graph.neg_neighbors(v):
-            if u in alive:
+            if not removed[u]:
                 neg_deg[u] -= 1
-                if u not in queued and violates(u):
+                if neg_deg[u] < tau:
+                    removed[u] = 1
                     queue.append(u)
-                    queued.add(u)
-    return alive
+    return {v for v in range(n) if not removed[v]}
 
 
 def edge_reduction(graph: SignedGraph, tau: int) -> SignedGraph:
@@ -171,7 +170,9 @@ def edge_reduction_fast(graph: SignedGraph, tau: int) -> SignedGraph:
     return reduced
 
 
-def polar_core_numbers(graph: SignedGraph) -> tuple[list[int], list[int]]:
+def polar_core_numbers(
+    graph: SignedGraph, alive: int | None = None
+) -> tuple[list[int], list[int]]:
     """``PDecompose`` (Algorithm 5): polarization order + ``pn`` values.
 
     Iteratively removes the vertex ``u`` minimizing
@@ -180,39 +181,69 @@ def polar_core_numbers(graph: SignedGraph) -> tuple[list[int], list[int]]:
     while they exceed ``pn(u)``, which keeps the sequence of recorded
     values non-decreasing (same clamping as degeneracy peeling).
 
-    Returns ``(order, pn)``: ``order`` lists vertices in non-decreasing
-    ``pn`` (the *polarization order*), ``pn[v]`` is the polar-core
-    number of ``v``.
+    ``alive`` (a vertex mask) restricts the decomposition to the
+    induced subgraph ``G[alive]`` without copying it: PF* passes the
+    ``VertexReduction`` survivors, and degrees come from the graph's
+    cached adjacency masks.  Ties pop lowest id first (one int heap key
+    ``key * n + v``), so the result in the caller's ids is the
+    relabelled-subgraph result mapped back.
+
+    Returns ``(order, pn)``: ``order`` lists the (alive) vertices in
+    non-decreasing ``pn`` (the *polarization order*), ``pn[v]`` is the
+    polar-core number of ``v`` (``0`` outside ``alive``).
     """
     n = graph.num_vertices
-    pos_deg = [graph.pos_degree(v) for v in range(n)]
-    neg_deg = [graph.neg_degree(v) for v in range(n)]
-
-    def key(v: int) -> int:
-        return min(pos_deg[v] + 1, neg_deg[v])
-
-    heap: list[tuple[int, int]] = [(key(v), v) for v in range(n)]
+    if alive is None:
+        members: list[int] = list(range(n))
+        alive = graph.all_bits()
+    else:
+        members = bits_of(alive)
+    pos_bits = graph.pos_adjacency_bits()
+    neg_bits = graph.neg_adjacency_bits()
+    # Vertices outside ``alive`` start out removed, so the peel skips
+    # them like already-peeled ones.
+    removed = bytearray(b"\x01") * n
+    pos_deg = [0] * n
+    neg_deg = [0] * n
+    heap: list[int] = []
+    for v in members:
+        removed[v] = 0
+        d_pos = pos_deg[v] = (pos_bits[v] & alive).bit_count()
+        d_neg = neg_deg[v] = (neg_bits[v] & alive).bit_count()
+        heap.append(min(d_pos + 1, d_neg) * n + v)
     heapq.heapify(heap)
-    removed = [False] * n
     pn = [0] * n
     order: list[int] = []
     current = 0
+    # The heap keys below inline ``min(d+ + 1, d-)``: it runs per edge.
     while heap:
-        value, u = heapq.heappop(heap)
-        if removed[u] or value != key(u):
+        value, u = divmod(heapq.heappop(heap), n)
+        if removed[u]:
             continue  # stale heap entry
-        removed[u] = True
-        current = max(current, value)
+        key = pos_deg[u] + 1
+        if neg_deg[u] < key:
+            key = neg_deg[u]
+        if value != key:
+            continue  # stale heap entry
+        removed[u] = 1
+        if value > current:
+            current = value
         pn[u] = current
         order.append(u)
         for v in graph.pos_neighbors(u):
-            if not removed[v] and pos_deg[v] + 1 > pn[u]:
-                pos_deg[v] -= 1
-                heapq.heappush(heap, (key(v), v))
+            if not removed[v] and pos_deg[v] >= current:
+                key = pos_deg[v]  # the new d+ plus one
+                pos_deg[v] = key - 1
+                if neg_deg[v] < key:
+                    key = neg_deg[v]
+                heapq.heappush(heap, key * n + v)
         for v in graph.neg_neighbors(u):
-            if not removed[v] and neg_deg[v] > pn[u]:
-                neg_deg[v] -= 1
-                heapq.heappush(heap, (key(v), v))
+            if not removed[v] and neg_deg[v] > current:
+                key = neg_deg[v] - 1
+                neg_deg[v] = key
+                if pos_deg[v] + 1 < key:
+                    key = pos_deg[v] + 1
+                heapq.heappush(heap, key * n + v)
     return order, pn
 
 

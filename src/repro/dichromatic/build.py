@@ -139,7 +139,7 @@ def dichromatic_network_from_masks(
 ) -> DichromaticGraph:
     """:func:`build_dichromatic_network_bits` over raw mask arrays.
 
-    The parallel fan-out workers hold the reduced graph only as the two
+    The parallel fan-out workers hold the graph only as the two
     adjacency-mask lists shipped at pool start (no :class:`SignedGraph`
     object exists in the worker), so the builder's real implementation
     lives at this level.

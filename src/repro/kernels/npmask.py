@@ -80,7 +80,6 @@ __all__ = [
     "degrees_in_active",
     "subtract_members",
     "argmin_active",
-    "argmax_active",
     "intersect_active",
     "degree_in_active",
     "k_core_active",
@@ -372,14 +371,6 @@ def argmin_active(values: "IntArray", flags: "BoolArray") -> int:
     if not flags.any():
         return -1
     return int(np.argmin(np.where(flags, values, _SENTINEL)))
-
-
-def argmax_active(values: "IntArray", flags: "BoolArray") -> int:
-    """Index of the largest value among ``flags``-marked entries
-    (lowest id on ties); ``-1`` when no entry is marked."""
-    if not flags.any():
-        return -1
-    return int(np.argmax(np.where(flags, values, np.int64(-1))))
 
 
 # ----------------------------------------------------------------------

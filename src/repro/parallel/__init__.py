@@ -1,9 +1,10 @@
 """Parallel ego-network fan-out engine (multiprocessing).
 
 Splits MBC*'s / PF*'s per-vertex ego-network instances across worker
-processes, with the reduced graph shipped once at pool start and the
-best solution size published through a shared monotone incumbent so
-every worker prunes against the best clique found anywhere.  See
+processes, with the graph's adjacency masks shipped once at pool start
+and the best solution size published through a shared monotone
+incumbent so every worker prunes against the best clique found
+anywhere.  See
 ``docs/ALGORITHMS.md`` ("Parallel execution") for the protocol and
 ``repro.parallel.engine`` for the pool lifecycle.
 """

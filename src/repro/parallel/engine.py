@@ -21,8 +21,8 @@ serial engines regardless of scheduling:
 Pool strategy: a fresh pool per solve, preferring the ``fork`` start
 method — the parent installs the :class:`~repro.parallel.worker.
 WorkerContext` in a module global first, so the children inherit the
-reduced graph through the address-space copy and nothing is pickled at
-all (the ISSUE's "shipped at pool start, not per-task pickles").
+adjacency masks through the address-space copy and nothing is pickled
+at all (the ISSUE's "shipped at pool start, not per-task pickles").
 Platforms without ``fork`` fall back to ``spawn`` with the context
 packed into compact byte blobs; if no pool can be created at all, the
 same chunk runners execute in-process, which is also what tiny
@@ -47,7 +47,6 @@ from ..core.result import BalancedClique
 from ..core.stats import SearchStats
 from ..obs import Tracer, current_tracer
 from ..resilience.budget import Budget, BudgetExceeded
-from ..signed.graph import SignedGraph
 from .dispatch import ResilientDispatcher, preferred_start_method
 from .incumbent import SharedIncumbent
 from .tasks import chunk_vertices, cost_ordered, estimated_work, \
@@ -106,8 +105,9 @@ def _charge_chunk(budget: "Budget | None",
 
 
 def mbc_ego_fanout(
-    working: SignedGraph,
-    mapping: list[int],
+    pos_bits: list[int],
+    neg_bits: list[int],
+    n: int,
     tau: int,
     best: BalancedClique,
     order: list[int],
@@ -121,15 +121,16 @@ def mbc_ego_fanout(
 ) -> BalancedClique:
     """Run MBC*'s ego-network sweep as a parallel fan-out.
 
-    Parameters mirror the serial sweep's state at line 5 of
-    Algorithm 2: ``working`` is the reduced graph, ``mapping`` its
-    vertex translation back to the caller's graph, ``best`` the
-    incumbent (heuristic or caller-seeded), ``order`` the processing
-    order over the ``|C*|``-core.  A live ``trace`` asks the workers
-    for per-chunk :class:`~repro.obs.TraceBuffer` deltas, absorbed
-    under one ``fanout`` span as chunk results arrive.  A ``budget``
-    is enforced at chunk granularity: the deadline between chunk
-    results (the dispatcher's heartbeat), the node cap from the
+    Parameters mirror the serial sweep's state at line 5 of Algorithm 2:
+    ``pos_bits``/``neg_bits`` are the caller graph's adjacency masks
+    over ``n`` vertices, ``best`` the incumbent (heuristic or
+    caller-seeded), ``order`` the processing order over the
+    ``|C*|``-core.  Everything runs in the caller's vertex ids, so the
+    returned witness needs no translation.  A live ``trace`` asks the
+    workers for per-chunk :class:`~repro.obs.TraceBuffer` deltas,
+    absorbed under one ``fanout`` span as chunk results arrive.  A
+    ``budget`` is enforced at chunk granularity: the deadline between
+    chunk results (the dispatcher's heartbeat), the node cap from the
     chunks' stats deltas; on exhaustion the already-aggregated best
     witness is returned (anytime contract).  ``engine`` selects the
     worker-side kernel backend (``"bitset"`` or ``"numpy"``); task
@@ -137,8 +138,6 @@ def mbc_ego_fanout(
     context rebuilds the matching representation worker-side.
     """
     tracer = trace if trace is not None else current_tracer()
-    pos_bits = working.pos_adjacency_bits()
-    neg_bits = working.neg_adjacency_bits()
     tasks = plan_tasks(pos_bits, neg_bits, order)
     if stats is not None:
         stats.vertices_examined += len(tasks)
@@ -157,7 +156,7 @@ def mbc_ego_fanout(
         if preferred_start_method() is not None else None)
     want_accounting = _want_accounting(stats, budget)
     ctx_obj = WorkerContext(
-        pos_bits, neg_bits, working.num_vertices, tau, order, incumbent,
+        pos_bits, neg_bits, n, tau, order, incumbent,
         use_core=use_core, use_coloring=use_coloring,
         want_stats=want_accounting, want_trace=tracer.enabled,
         engine=engine)
@@ -209,13 +208,17 @@ def mbc_ego_fanout(
     if best_witness is None:
         return best
     u, members = best_witness
-    left = {mapping[u]}
+    return _witness_clique(u, members)
+
+
+def _witness_clique(u: int,
+                    members: "list[tuple[int, bool]]") -> BalancedClique:
+    """The clique of an anchor ``u`` plus its ``(vertex, is_left)``
+    members, as delivered by a chunk runner."""
+    left = {u}
     right: set[int] = set()
     for vertex, is_left in members:
-        if is_left:
-            left.add(mapping[vertex])
-        else:
-            right.add(mapping[vertex])
+        (left if is_left else right).add(vertex)
     return BalancedClique.from_sides(left, right)
 
 
@@ -238,16 +241,16 @@ def dynamic_ego_fanout(
 ) -> "tuple[list[tuple[int, int, list[tuple[int, bool]] | None]], bool]":
     """Dispatch the dynamic solver's dirty-ego subset.
 
-    Unlike :func:`mbc_ego_fanout` this takes no graph: the dynamic
-    solver owns incrementally-maintained adjacency masks and hands
-    them over directly, with ``egos`` the (typically tiny) subset of
-    anchors whose cached bounds cannot rule them out and ``floor`` the
-    incumbent size certified by cached witnesses.  Vertex ids are
-    global — the solver runs without a reduction mapping because the
-    graph mutates between solves.  ``work_estimate`` is the solver's
-    own cost forecast for ``egos`` (it already holds per-ego candidate
-    counts, so re-planning tasks here would be an O(n) scan per solve);
-    it only gates pool creation against ``MIN_POOL_WORK``.
+    Like :func:`mbc_ego_fanout` this takes the adjacency masks, not a
+    graph: the dynamic solver owns incrementally-maintained masks and
+    hands them over directly, with ``egos`` the (typically tiny) subset
+    of anchors whose cached bounds cannot rule them out and ``floor``
+    the incumbent size certified by cached witnesses.  Unlike it, the
+    task set is explicit rather than planned from an ordering.
+    ``work_estimate`` is the solver's own cost forecast for ``egos``
+    (it already holds per-ego candidate counts, so re-planning tasks
+    here would be an O(n) scan per solve); it only gates pool creation
+    against ``MIN_POOL_WORK``.
 
     Returns ``(outcomes, completed)``; each outcome is the worker's
     ``(u, certified upper, members-or-None)`` triple.  Outcomes are
@@ -317,8 +320,9 @@ def dynamic_ego_fanout(
 
 
 def pf_round_fanout(
-    working: SignedGraph,
-    mapping: list[int],
+    pos_bits: list[int],
+    neg_bits: list[int],
+    n: int,
     order: list[int],
     pn: "dict[int, int] | list[int] | None",
     tau_star: int,
@@ -344,12 +348,11 @@ def pf_round_fanout(
     A ``budget`` stops between rounds or between a round's chunks;
     ``tau_star``/``witness`` are only advanced together after a full
     round, so the truncated return is always a certified pair.
+    The graph arrives as its adjacency masks over ``n`` vertices and
     ``engine`` selects the worker-side kernel backend, as in
     :func:`mbc_ego_fanout`.
     """
     tracer = trace if trace is not None else current_tracer()
-    pos_bits = working.pos_adjacency_bits()
-    neg_bits = working.neg_adjacency_bits()
     method = preferred_start_method()
     incumbent = SharedIncumbent(
         tau_star,
@@ -357,7 +360,7 @@ def pf_round_fanout(
         else None)
     want_accounting = _want_accounting(stats, budget)
     ctx_obj = WorkerContext(
-        pos_bits, neg_bits, working.num_vertices, 0, order, incumbent,
+        pos_bits, neg_bits, n, 0, order, incumbent,
         want_stats=want_accounting, want_trace=tracer.enabled,
         engine=engine)
 
@@ -428,14 +431,7 @@ def pf_round_fanout(
                 (s for s in round_successes if s[1] + 1 == new_tau),
                 key=lambda s: position[s[0]])
             u, _bar, members = top
-            left = {mapping[u]}
-            right: set[int] = set()
-            for vertex, is_left in members:
-                if is_left:
-                    left.add(mapping[vertex])
-                else:
-                    right.add(mapping[vertex])
-            witness = BalancedClique.from_sides(left, right)
+            witness = _witness_clique(u, members)
             tau_star = new_tau
             incumbent.improve(tau_star)
             survivors = {s[0] for s in round_successes}

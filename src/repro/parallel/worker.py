@@ -1,8 +1,9 @@
 """Worker-side execution of ego-network tasks.
 
-Each pool worker holds one :class:`WorkerContext` — the reduced graph
-as two adjacency-mask lists, the processing order, the constraint and
-the shared incumbent — installed once at pool start:
+Each pool worker holds one :class:`WorkerContext` — the graph as two
+adjacency-mask lists in the caller's vertex ids, the processing order,
+the constraint and the shared incumbent — installed once at pool
+start:
 
 * under ``fork`` the parent stores the context in the module global
   :data:`_CTX` *before* creating the pool, and the children inherit it
@@ -239,8 +240,8 @@ def run_mdc_chunk(chunk: list[int]) -> MdcChunkResult:
 
     Returns ``(witness, stats, buffer, examined, skipped)`` where
     ``witness`` is ``(u, members)`` for the best clique found in this
-    chunk (``members`` are ``(vertex, is_left)`` pairs in reduced-graph
-    ids, excluding the anchor ``u``) or ``None``; ``stats`` is the
+    chunk (``members`` are ``(vertex, is_left)`` pairs in the shipped
+    masks' ids, excluding the anchor ``u``) or ``None``; ``stats`` is the
     chunk's :class:`SearchStats` delta and ``buffer`` its
     :class:`~repro.obs.TraceBuffer` (each ``None`` unless requested);
     and ``examined`` / ``skipped`` count processed tasks and pre-bound

@@ -17,8 +17,12 @@ Design notes
 Adjacency *sets* (not lists) are used because the branch-and-bound
 algorithms intersect neighbourhoods constantly; set intersection is the
 dominant primitive.  The structure is mutable only through the explicit
-edge/vertex editing API; algorithms never mutate a caller's graph — they
-copy or build induced subgraphs via :meth:`SignedGraph.subgraph`.
+edge/vertex editing API; algorithms never mutate a caller's graph.
+MBC* and PF* restrict every phase to a vertex mask over the graph's
+lazily cached adjacency masks (:meth:`SignedGraph.pos_adjacency_bits`),
+in the caller's own ids; code that must edit (EdgeReduction) works on a
+:meth:`SignedGraph.copy`.  Every mutation drops the mask cache, so a
+solve after an edit never sees stale masks.
 """
 
 from __future__ import annotations

@@ -34,24 +34,36 @@ class HigherRanked:
         return position is not None and position > self._threshold
 
 
-def degeneracy_ordering(graph: UnsignedGraph) -> list[int]:
+def degeneracy_ordering(
+    graph: UnsignedGraph, active: "set[int] | None" = None
+) -> list[int]:
     """Smallest-first (degeneracy) ordering of the vertices.
 
     Returns the peeling order: position 0 holds the globally
     smallest-degree vertex.  A vertex "ranks higher" when it appears
     *later* in this list.  Runs in ``O(n + m)`` using bucket queues.
+    ``active`` restricts the ordering to the induced subgraph
+    ``G[active]`` (degrees count inside it) without copying it.
     """
     n = graph.num_vertices
-    degree = [graph.degree(v) for v in range(n)]
-    max_degree = max(degree, default=0)
+    members = range(n) if active is None else sorted(active)
+    # Vertices outside ``active`` start out removed, so the peel never
+    # counts or visits them.
+    removed = [active is not None] * n
+    degree = [0] * n
+    for v in members:
+        removed[v] = False
+        degree[v] = graph.degree(v) if active is None \
+            else len(graph.neighbors(v) & active)
+    max_degree = max((degree[v] for v in members), default=0)
     buckets: list[list[int]] = [[] for _ in range(max_degree + 1)]
-    for v in range(n):
+    for v in members:
         buckets[degree[v]].append(v)
     pointer = [0] * (max_degree + 1)
-    removed = [False] * n
     order: list[int] = []
+    total = len(members)
     scan_from = 0
-    while len(order) < n:
+    while len(order) < total:
         d = scan_from
         while d <= max_degree and pointer[d] >= len(buckets[d]):
             d += 1

@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from repro.core.balance import is_balanced_clique
 from repro.core.heuristic import mbc_heuristic
+from repro.kernels.bitset import iter_bits
 from repro.signed.graph import SignedGraph
 
-from .conftest import signed_graphs
+from .conftest import SOLVER_ENGINES, signed_graphs
+
+MASK_ENGINES = [engine for engine in SOLVER_ENGINES if engine != "set"]
 
 
 class TestHeuristic:
@@ -63,3 +66,32 @@ class TestHeuristic:
         clique = mbc_heuristic(graph, 0)
         optimum = brute_force_maximum_balanced_clique(graph, 0)
         assert clique.size <= optimum.size
+
+
+class TestAliveMask:
+    """``alive`` restricts the heuristic to ``G[alive]`` in the caller's
+    ids: the mask engines must return exactly what the relabelled
+    induced subgraph returns, mapped back."""
+
+    @given(signed_graphs(max_vertices=12),
+           st.integers(min_value=0, max_value=2**12 - 1),
+           st.integers(min_value=0, max_value=2),
+           st.sampled_from(MASK_ENGINES))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_relabelled_subgraph(self, graph, bits, tau, engine):
+        alive = bits & graph.all_bits()
+        sub, mapping = graph.subgraph(iter_bits(alive))
+        expected = mbc_heuristic(sub, tau, engine=engine)
+        got = mbc_heuristic(graph, tau, engine=engine, alive=alive)
+        assert got.left == {mapping[v] for v in expected.left}
+        assert got.right == {mapping[v] for v in expected.right}
+
+    @given(signed_graphs(max_vertices=12),
+           st.integers(min_value=0, max_value=2**12 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_set_engine_stays_inside_alive(self, graph, bits):
+        alive = bits & graph.all_bits()
+        clique = mbc_heuristic(graph, 0, engine="set", alive=alive)
+        assert not clique.vertices - set(iter_bits(alive))
+        if not clique.is_empty:
+            assert is_balanced_clique(graph, clique.vertices, tau=0)

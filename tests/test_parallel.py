@@ -280,9 +280,9 @@ class TestRegressions:
         graph = random_signed_graph(21, n=20)
         expected = pf_star(graph)
         beta, witness = engine_module.pf_round_fanout(
-            graph, list(range(graph.num_vertices)),
-            list(range(graph.num_vertices)), {0: 99}, 0,
-            BalancedClique(), workers=1)
+            graph.pos_adjacency_bits(), graph.neg_adjacency_bits(),
+            graph.num_vertices, list(range(graph.num_vertices)),
+            {0: 99}, 0, BalancedClique(), workers=1)
         assert beta == expected
         if beta > 0:
             assert witness.satisfies(beta)
@@ -293,8 +293,8 @@ class TestRegressions:
         expected = pf_star(graph)
         n = graph.num_vertices
         beta, _witness = engine_module.pf_round_fanout(
-            graph, list(range(n)), list(range(n)), [n] * n, 0,
-            BalancedClique(), workers=1)
+            graph.pos_adjacency_bits(), graph.neg_adjacency_bits(), n,
+            list(range(n)), [n] * n, 0, BalancedClique(), workers=1)
         assert beta == expected
 
     def test_make_pool_swallows_bad_start_method(self, monkeypatch):

@@ -8,6 +8,7 @@ from repro.core.bruteforce import enumerate_balanced_cliques
 from repro.core.reductions import edge_reduction, polar_core_numbers, \
     polar_core_vertices, polarization_order, polarization_upper_bound, \
     vertex_reduction
+from repro.kernels.bitset import iter_bits
 from repro.signed.graph import SignedGraph
 
 from .conftest import make_random_signed_graph, signed_graphs
@@ -161,3 +162,20 @@ class TestPolarizationUpperBound:
 
         assert polarization_upper_bound(graph) >= \
             brute_force_polarization_factor(graph)
+
+
+class TestPolarCoreAliveMask:
+    @given(signed_graphs(max_vertices=12),
+           st.integers(min_value=0, max_value=2**12 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_relabelled_subgraph(self, graph, bits):
+        """PDecompose over ``alive`` equals PDecompose of the relabelled
+        induced subgraph mapped back: same order, same pn values."""
+        alive = bits & graph.all_bits()
+        sub, mapping = graph.subgraph(iter_bits(alive))
+        sub_order, sub_pn = polar_core_numbers(sub)
+        order, pn = polar_core_numbers(graph, alive)
+        assert order == [mapping[v] for v in sub_order]
+        assert [pn[v] for v in order] == [sub_pn[v] for v in sub_order]
+        assert all(pn[v] == 0 for v in graph.vertices()
+                   if not alive >> v & 1)

@@ -166,6 +166,26 @@ class TestOrdering:
                        if rank[u] > rank[v])
             assert back <= limit
 
+    @given(unsigned_graphs(), st.integers(min_value=0,
+                                          max_value=2**14 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_active_orders_the_induced_subgraph(self, graph, bits):
+        """``active`` orders ``G[active]`` in place: a permutation of
+        the active vertices with the degeneracy property inside it."""
+        active = {v for v in graph.vertices() if bits >> v & 1}
+        order = degeneracy_ordering(graph, active)
+        assert sorted(order) == sorted(active)
+        induced = UnsignedGraph.from_edges(
+            graph.num_vertices,
+            [(u, v) for u, v in graph.edges()
+             if u in active and v in active])
+        position = {v: i for i, v in enumerate(order)}
+        limit = degeneracy(induced)
+        for v in active:
+            back = sum(1 for u in induced.neighbors(v)
+                       if position[u] > position[v])
+            assert back <= limit
+
     def test_rank_inverse(self):
         order = [2, 0, 1]
         rank = rank_of_ordering(order)
