@@ -36,14 +36,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.kernels import DEFAULT_ENGINE
 from repro.serve import BackgroundServer, SolverService
 
 try:
-    from ._common import BENCH_ENGINE, BENCH_SCALE, DEFAULT_TAU, \
-        bench_graph, print_table, run_once
+    from ._common import BENCH_SCALE, DEFAULT_TAU, bench_graph, \
+        print_table, run_once
 except ImportError:
-    from _common import BENCH_ENGINE, BENCH_SCALE, DEFAULT_TAU, \
-        bench_graph, print_table, run_once
+    from _common import BENCH_SCALE, DEFAULT_TAU, bench_graph, \
+        print_table, run_once
 
 #: Datasets the serving criterion is measured on — chosen so the cold
 #: solve is long enough (tens of ms at scale 1.0) that the 10x cached
@@ -86,7 +87,6 @@ def _solve_payload(dataset: str) -> dict:
         "graph": f"dataset:{dataset}@{BENCH_SCALE}",
         "problem": "mbc",
         "tau": DEFAULT_TAU,
-        "engine": BENCH_ENGINE,
     }
 
 
@@ -166,12 +166,12 @@ def _bench_dataset(url: str, dataset: str) -> dict:
 
 def collect() -> dict:
     """The whole payload: one daemon, every dataset measured live."""
-    service = SolverService(default_engine=BENCH_ENGINE)
+    service = SolverService()
     with BackgroundServer(service) as server:
         rows = [_bench_dataset(server.url, dataset)
                 for dataset in BENCH_DATASETS]
     return {
-        "engine": BENCH_ENGINE,
+        "engine": DEFAULT_ENGINE,
         "tau": DEFAULT_TAU,
         "scale": BENCH_SCALE,
         "cold_samples": COLD_SAMPLES,
@@ -227,7 +227,7 @@ def validate_payload(payload: dict) -> None:
 @pytest.mark.parametrize("dataset", BENCH_DATASETS)
 def test_serve_cached_round_trip(benchmark, dataset):
     """Steady state: one cached solve request over localhost HTTP."""
-    service = SolverService(default_engine=BENCH_ENGINE)
+    service = SolverService()
     with BackgroundServer(service) as server:
         payload = _solve_payload(dataset)
         _timed_request(server.url, payload)  # prime
@@ -242,7 +242,7 @@ def test_serve_cached_round_trip(benchmark, dataset):
 def main() -> None:
     payload = collect()
     print_table(
-        f"Serve latency (tau={DEFAULT_TAU}, engine={BENCH_ENGINE}, "
+        f"Serve latency (tau={DEFAULT_TAU}, "
         f"scale={BENCH_SCALE})",
         ["dataset", "n", "m", "cold p50", "cached p50", "speedup",
          *(f"rps@{c}" for c in CONCURRENCIES)],

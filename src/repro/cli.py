@@ -50,7 +50,6 @@ from .core.result import SolveResult
 from .core.stats import SearchStats
 from .datasets.registry import dataset_names, load
 from .dynamic import DynamicSolver, apply_edit, parse_edit_script
-from .kernels import DEFAULT_ENGINE, ENGINES
 from .obs import Tracer, get_tracer, install_tracer, render_tree, \
     write_jsonl
 from .resilience import Budget
@@ -65,17 +64,11 @@ __all__ = ["main", "build_parser", "EXIT_BUDGET_EXHAUSTED"]
 EXIT_BUDGET_EXHAUSTED = 3
 
 
-def _add_engine_flag(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--engine", choices=list(ENGINES), default=DEFAULT_ENGINE,
-        help="kernel backend from the engine registry: bitset int "
-             "masks (default), numpy vectorised mask matrices, or the "
-             "original adjacency sets")
+def _add_solve_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="worker processes for the ego-network sweep (default 1 = "
-             "serial; needs a parallel-capable engine: bitset or "
-             "numpy)")
+             "serial)")
     subparser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write a repro.obs JSONL trace of the solve to PATH")
@@ -109,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     mbc.add_argument(
         "--algorithm", choices=["star", "baseline"], default="star",
         help="solver: MBC* (default) or the enumeration baseline")
-    _add_engine_flag(mbc)
+    _add_solve_flags(mbc)
 
     pf = sub.add_parser("pf", aliases=["pf-star"],
                         help="polarization factor")
@@ -117,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument(
         "--algorithm", choices=["star", "binary-search", "enumeration"],
         default="star", help="solver (default PF*)")
-    _add_engine_flag(pf)
+    _add_solve_flags(pf)
 
     gmbc = sub.add_parser(
         "gmbc", aliases=["gmbc-star"],
@@ -125,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     gmbc.add_argument("graph", help="edge-list path or dataset:NAME")
     gmbc.add_argument(
         "--algorithm", choices=["star", "naive"], default="star")
-    _add_engine_flag(gmbc)
+    _add_solve_flags(gmbc)
 
     dynamic = sub.add_parser(
         "dynamic",
@@ -141,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     dynamic.add_argument(
         "--beta", action="store_true",
         help="also report the polarization factor after each edit")
-    _add_engine_flag(dynamic)
+    _add_solve_flags(dynamic)
 
     stats = sub.add_parser("stats", help="dataset statistics (Table I)")
     stats.add_argument("graph", help="edge-list path or dataset:NAME")
@@ -198,9 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=8080,
         help="bind port (default 8080; 0 picks an ephemeral port)")
-    serve.add_argument(
-        "--engine", choices=list(ENGINES), default=DEFAULT_ENGINE,
-        help="default kernel backend for requests that don't name one")
     serve.add_argument(
         "--pool", type=int, default=None, metavar="N",
         help="worker threads running solves (default 4)")
@@ -275,12 +265,9 @@ def _cmd_mbc(args: argparse.Namespace) -> int:
     try:
         if args.algorithm == "star":
             clique = mbc_star(graph, args.tau, stats=stats,
-                              engine=args.engine, parallel=args.workers,
-                              budget=budget)
-            engine = args.engine
+                              parallel=args.workers, budget=budget)
         else:
             clique = mbc_baseline(graph, args.tau, stats=stats)
-            engine = "set"  # the baseline has no bitset path
     finally:
         elapsed = time.perf_counter() - started
         _report_trace(args, tracer)
@@ -292,7 +279,7 @@ def _cmd_mbc(args: argparse.Namespace) -> int:
         if not result.optimal:
             print(f"certified lower bound: {result.lower_bound}")
     print(f"time: {elapsed:.3f}s  nodes: {stats.nodes}  "
-          f"instances: {stats.instances}  engine: {engine}")
+          f"instances: {stats.instances}")
     return _budget_epilogue(budget)
 
 
@@ -303,17 +290,12 @@ def _cmd_pf(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         if args.algorithm == "star":
-            beta = pf_star(graph, engine=args.engine,
-                           parallel=args.workers, budget=budget)
-            engine = args.engine
+            beta = pf_star(graph, parallel=args.workers, budget=budget)
         elif args.algorithm == "binary-search":
-            beta = pf_binary_search(graph, engine=args.engine,
-                                    parallel=args.workers,
+            beta = pf_binary_search(graph, parallel=args.workers,
                                     budget=budget)
-            engine = args.engine
         else:
             beta = pf_enumeration(graph, budget=budget)
-            engine = "set"  # enumeration has no bitset path
     finally:
         elapsed = time.perf_counter() - started
         _report_trace(args, tracer)
@@ -321,7 +303,7 @@ def _cmd_pf(args: argparse.Namespace) -> int:
     # proven tau*), so print the inequality rather than a wrong "=".
     relation = ">=" if budget is not None and budget.exhausted else "="
     print(f"polarization factor beta(G) {relation} {beta}")
-    print(f"time: {elapsed:.3f}s  engine: {engine}")
+    print(f"time: {elapsed:.3f}s")
     return _budget_epilogue(budget)
 
 
@@ -337,8 +319,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     with open(args.edits, encoding="utf-8") as handle:
         edits = parse_edit_script(handle.read())
     tracer = _install_cli_tracer(args)
-    solver = DynamicSolver(graph, args.tau, engine=args.engine,
-                           parallel=args.workers)
+    solver = DynamicSolver(graph, args.tau, parallel=args.workers)
     any_truncated = False
 
     def solve_once(prefix: str) -> None:
@@ -362,8 +343,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     finally:
         elapsed = time.perf_counter() - started
         _report_trace(args, tracer)
-    summary = (f"edits: {len(edits)}  time: {elapsed:.3f}s  "
-               f"engine: {args.engine}")
+    summary = f"edits: {len(edits)}  time: {elapsed:.3f}s"
     if tracer is not None:
         counters = tracer.counters_snapshot()
         summary += (
@@ -386,11 +366,11 @@ def _cmd_gmbc(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         if args.algorithm == "star":
-            results = gmbc_star(graph, engine=args.engine,
-                                parallel=args.workers, budget=budget)
+            results = gmbc_star(graph, parallel=args.workers,
+                                budget=budget)
         else:
-            results = gmbc_naive(graph, engine=args.engine,
-                                 parallel=args.workers, budget=budget)
+            results = gmbc_naive(graph, parallel=args.workers,
+                                 budget=budget)
     finally:
         elapsed = time.perf_counter() - started
         _report_trace(args, tracer)
@@ -398,8 +378,7 @@ def _cmd_gmbc(args: argparse.Namespace) -> int:
         print(f"tau={tau:3d}  {clique.describe(graph)}")
     profile = distinct_cliques_profile(results)
     print(f"distinct cliques: {profile['distinct']}  "
-          f"beta: {profile['beta']}  time: {elapsed:.3f}s  "
-          f"engine: {args.engine}")
+          f"beta: {profile['beta']}  time: {elapsed:.3f}s")
     return _budget_epilogue(budget)
 
 
@@ -498,7 +477,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     service = SolverService(
-        default_engine=args.engine,
         cache_capacity=(DEFAULT_CACHE_CAPACITY
                         if args.cache_size is None
                         else args.cache_size))
@@ -511,8 +489,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await app.start()
         print(f"repro serve listening on "
               f"http://{app.host}:{app.port} "
-              f"(engine={args.engine}, "
-              f"cache={service.cache.capacity})")
+              f"(cache={service.cache.capacity})")
         await app.serve_forever()
 
     try:

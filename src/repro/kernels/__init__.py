@@ -14,8 +14,10 @@ bound) behind the solver-facing ``engine=`` seam:
 
 Engines are described by :class:`EngineSpec` records in
 :data:`ENGINE_REGISTRY` — the single lookup that
-:func:`validate_engine`, the CLI ``--engine`` choices, the benchmarks
-and the differential test matrix all consume.
+:func:`validate_engine`, the benchmarks and the differential test
+matrix all consume.  The choice is a library-level ``engine=``
+argument only: the CLI and the serve daemon always run
+:data:`DEFAULT_ENGINE`.
 """
 
 from dataclasses import dataclass, field

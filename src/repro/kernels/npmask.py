@@ -358,7 +358,9 @@ def subtract_members(
     degree -= row_bool(row, n)
 
 
-_SENTINEL = np.int64(np.iinfo(np.int64).max)
+#: Fill value that never wins :func:`argmin_active`.  Built only when
+#: numpy imported: this module must import cleanly without it.
+_SENTINEL = np.int64(np.iinfo(np.int64).max) if HAVE_NUMPY else None
 
 
 def argmin_active(values: "IntArray", flags: "BoolArray") -> int:

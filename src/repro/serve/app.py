@@ -15,7 +15,7 @@ thread; only the solver call crosses to the pool):
 1. validate (:mod:`repro.serve.protocol` — client mistakes are 4xx);
 2. resolve the graph spec (registry lookup / dataset memo; a cold
    dataset ref generates on the pool);
-3. **cache** lookup on ``(fingerprint, problem, tau, engine)`` — a
+3. **cache** lookup on ``(fingerprint, problem, tau)`` — a
    hit answers without queueing at all;
 4. **coalesce**: an identical in-flight key (same cache key *and*
    same budget) awaits the solve already running instead of starting
@@ -276,8 +276,7 @@ class ServeApp:
     # -- /solve --------------------------------------------------------
 
     async def _handle_solve(self, payload: dict) -> dict:
-        request = parse_solve_request(
-            payload, self.service.default_engine)
+        request = parse_solve_request(payload)
         graph, registered = await self._resolve(request)
         if registered is None:
             # Anonymous graphs are immutable snapshots: their key is
@@ -372,8 +371,7 @@ class ServeApp:
         async with admission:
             with tracer.span(
                     "serve.request", problem=request.problem,
-                    tau=request.tau,
-                    engine=request.engine) as span:
+                    tau=request.tau) as span:
                 payload = await self._run_blocking(
                     self.service.execute, request, graph,
                     registered, budget, tracer)
@@ -388,8 +386,7 @@ class ServeApp:
     # -- /graphs -------------------------------------------------------
 
     async def _handle_register(self, payload: dict) -> dict:
-        name, spec, tau, engine = parse_register_request(
-            payload, self.service.default_engine)
+        name, spec, tau = parse_register_request(payload)
         if name in self.service.graphs:
             raise ProtocolError(
                 409, f"graph {name!r} is already registered; POST "
@@ -406,8 +403,7 @@ class ServeApp:
             graph = graph_from_inline(spec)
         async with self._admission:
             registered = await self._run_blocking(
-                self.service.prime_registration, name, graph, tau,
-                engine)
+                self.service.prime_registration, name, graph, tau)
         return self.service.commit_registration(registered)
 
     async def _handle_edits(self, name: str, payload: dict) -> dict:

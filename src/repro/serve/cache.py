@@ -1,6 +1,6 @@
 """The keyed result cache: LRU over certified-optimal answers only.
 
-Keys are ``(fingerprint, problem, tau, engine)`` — exactly the tuple
+Keys are ``(fingerprint, problem, tau)`` — exactly the tuple
 that determines a solve's answer.  The fingerprint is
 :meth:`repro.signed.graph.SignedGraph.fingerprint`, a content hash,
 so two requests naming the same graph differently (a dataset ref, the
@@ -28,8 +28,8 @@ from ..resilience.budget import Status
 
 __all__ = ["CacheKey", "ResultCache", "DEFAULT_CACHE_CAPACITY"]
 
-#: ``(graph fingerprint, problem, tau, engine)``.
-CacheKey = "tuple[str, str, int, str]"
+#: ``(graph fingerprint, problem, tau)``.
+CacheKey = "tuple[str, str, int]"
 
 #: Default entry capacity of the serve cache (``--cache-size``).
 DEFAULT_CACHE_CAPACITY = 1024

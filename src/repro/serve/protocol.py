@@ -21,7 +21,6 @@ A solve request body is a JSON object::
                  | {"edges": ...}            (inline edge list),
       "problem":   "mbc" | "pf" | "gmbc",
       "tau":       3,            (mbc only; default 3)
-      "engine":    "bitset",     (default: the server's engine)
       "timeout":   1.5,          (optional per-request SLO, seconds)
       "max_nodes": 100000        (optional per-request node budget)
     }
@@ -40,7 +39,6 @@ import io
 import json
 from dataclasses import dataclass
 
-from ..kernels import available_engines
 from ..signed.graph import SignedGraph
 from ..signed.io import read_edge_list
 
@@ -90,7 +88,6 @@ class SolveRequest:
     graph: "str | dict"
     problem: str
     tau: int
-    engine: str
     timeout: "float | None"
     max_nodes: "int | None"
 
@@ -144,16 +141,6 @@ def _parse_tau(payload: dict) -> int:
     return tau
 
 
-def _parse_engine(payload: dict, default_engine: str) -> str:
-    engine = payload.get("engine", default_engine)
-    if engine not in available_engines():
-        raise ProtocolError(
-            400, f"unknown or unavailable engine {engine!r}; "
-                 f"available: {list(available_engines())}")
-    assert isinstance(engine, str)
-    return engine
-
-
 def _parse_budget_fields(
     payload: dict,
 ) -> "tuple[float | None, int | None]":
@@ -175,11 +162,9 @@ def _parse_budget_fields(
     return timeout, max_nodes
 
 
-def parse_solve_request(payload: dict,
-                        default_engine: str) -> SolveRequest:
+def parse_solve_request(payload: dict) -> SolveRequest:
     """Validate a ``POST /solve`` body into a :class:`SolveRequest`."""
-    known = {"graph", "problem", "tau", "engine", "timeout",
-             "max_nodes"}
+    known = {"graph", "problem", "tau", "timeout", "max_nodes"}
     unknown = set(payload) - known
     if unknown:
         raise ProtocolError(
@@ -195,7 +180,6 @@ def parse_solve_request(payload: dict,
         graph=_require_graph_spec(payload),
         problem=problem,
         tau=_parse_tau(payload),
-        engine=_parse_engine(payload, default_engine),
         timeout=timeout,
         max_nodes=max_nodes)
 
@@ -211,15 +195,15 @@ def validate_graph_name(name: object) -> str:
 
 
 def parse_register_request(
-    payload: dict, default_engine: str,
-) -> "tuple[str, str | dict, int, str]":
+    payload: dict,
+) -> "tuple[str, str | dict, int]":
     """Validate a ``POST /graphs`` body.
 
-    Returns ``(name, graph_spec, tau, engine)``; the spec must be a
+    Returns ``(name, graph_spec, tau)``; the spec must be a
     dataset ref or inline edges — registering a registered graph
     under a second name is a client mistake, not a feature.
     """
-    known = {"name", "graph", "tau", "engine"}
+    known = {"name", "graph", "tau"}
     unknown = set(payload) - known
     if unknown:
         raise ProtocolError(
@@ -235,7 +219,7 @@ def parse_register_request(
         raise ProtocolError(
             400, f"registered graphs need tau >= 1 (the resident "
                  f"dynamic solver's contract), got {tau}")
-    return name, spec, tau, _parse_engine(payload, default_engine)
+    return name, spec, tau
 
 
 def parse_edits_request(payload: dict) -> str:

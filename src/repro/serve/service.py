@@ -35,7 +35,6 @@ from ..core.pf import pf_star
 from ..core.result import SolveResult
 from ..datasets.registry import dataset_names, load
 from ..dynamic import DynamicSolver, apply_edit, parse_edit_script
-from ..kernels import DEFAULT_ENGINE, engine_spec
 from ..obs import Tracer, get_tracer
 from ..resilience.budget import Budget, Status
 from ..signed.graph import SignedGraph
@@ -76,8 +75,8 @@ def parse_dataset_ref(ref: str) -> "tuple[str, float]":
 class RegisteredGraph:
     """One resident graph: a live :class:`DynamicSolver` + its key.
 
-    ``tau`` / ``engine`` are the residency parameters: ``mbc``
-    requests matching both are answered straight from the solver's
+    ``tau`` is the residency parameter: ``mbc`` requests matching it
+    (and every ``pf`` request) are answered straight from the solver's
     incremental cache; anything else (another tau, ``gmbc``) solves
     against the live graph it wraps.
     """
@@ -85,7 +84,6 @@ class RegisteredGraph:
     name: str
     solver: DynamicSolver
     tau: int
-    engine: str
 
     @property
     def graph(self) -> SignedGraph:
@@ -101,7 +99,6 @@ class RegisteredGraph:
             "n": graph.num_vertices,
             "m": graph.num_edges,
             "tau": self.tau,
-            "engine": self.engine,
             "edits": self.solver.edits,
         }
 
@@ -111,12 +108,9 @@ class SolverService:
 
     def __init__(
         self,
-        default_engine: str = DEFAULT_ENGINE,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         workers: int = 0,
     ) -> None:
-        engine_spec(default_engine)  # raises on unknown
-        self.default_engine = default_engine
         self.workers = workers
         self.cache = ResultCache(cache_capacity)
         self.graphs: "dict[str, RegisteredGraph]" = {}
@@ -186,12 +180,12 @@ class SolverService:
 
     @staticmethod
     def cache_key(fingerprint: str,
-                  request: SolveRequest) -> "tuple[str, str, int, str]":
+                  request: SolveRequest) -> "tuple[str, str, int]":
         """The result-cache key; tau is keyed for ``mbc`` only (pf and
         gmbc ignore it, so requests differing only in tau share the
         answer)."""
         tau = request.tau if request.problem == "mbc" else 0
-        return (fingerprint, request.problem, tau, request.engine)
+        return (fingerprint, request.problem, tau)
 
     @staticmethod
     def build_budget(request: SolveRequest) -> "Budget | None":
@@ -219,7 +213,6 @@ class SolverService:
         problem = request.problem
         use_resident = (
             registered is not None
-            and request.engine == registered.engine
             and (problem == "pf"
                  or (problem == "mbc" and request.tau == registered.tau)))
         if use_resident:
@@ -228,15 +221,15 @@ class SolverService:
                 request, registered, budget)
         elif problem == "mbc":
             clique = mbc_star(
-                graph, request.tau, engine=request.engine,
-                parallel=self.workers, trace=trace, budget=budget)
+                graph, request.tau, parallel=self.workers, trace=trace,
+                budget=budget)
             payload = {
                 "result": SolveResult.capture(clique, budget).to_json(),
             }
         elif problem == "pf":
             outcome = pf_star(
-                graph, engine=request.engine, parallel=self.workers,
-                return_witness=True, trace=trace, budget=budget)
+                graph, parallel=self.workers, return_witness=True,
+                trace=trace, budget=budget)
             assert isinstance(outcome, tuple)
             beta, witness = outcome
             payload = {
@@ -246,8 +239,7 @@ class SolverService:
             }
         else:
             results = gmbc_star(
-                graph, engine=request.engine, parallel=self.workers,
-                trace=trace, budget=budget)
+                graph, parallel=self.workers, trace=trace, budget=budget)
             status_value = (budget.status if budget is not None
                             else Status.OPTIMAL).value
             payload = {
@@ -260,7 +252,7 @@ class SolverService:
             }
         status = payload["result"]["status"]
         payload.update(
-            problem=problem, tau=request.tau, engine=request.engine,
+            problem=problem, tau=request.tau,
             fingerprint=graph.fingerprint(), status=status,
             resident=use_resident)
         return payload
@@ -288,14 +280,12 @@ class SolverService:
     # -- registration --------------------------------------------------
 
     def prime_registration(
-        self, name: str, graph: SignedGraph, tau: int, engine: str,
+        self, name: str, graph: SignedGraph, tau: int,
     ) -> RegisteredGraph:
         """Build the resident solver for a graph (pool-safe: the cold
         priming sweep is the expensive part of registration)."""
-        solver = DynamicSolver(graph, tau, engine=engine,
-                               parallel=self.workers)
-        return RegisteredGraph(
-            name=name, solver=solver, tau=tau, engine=engine)
+        solver = DynamicSolver(graph, tau, parallel=self.workers)
+        return RegisteredGraph(name=name, solver=solver, tau=tau)
 
     def commit_registration(
         self, registered: RegisteredGraph,
@@ -375,5 +365,4 @@ class SolverService:
             },
             "graphs": [registered.describe()
                        for registered in self.graphs.values()],
-            "default_engine": self.default_engine,
         }

@@ -275,10 +275,10 @@ class TestServeDifferential:
     For a seeded family of random graphs, every answer the HTTP
     daemon returns — a cold solve, a cache hit, and a post-edit solve
     against a registered resident graph — is compared against the
-    corresponding direct library call, across every available engine
-    and all three problems.  This is the proof that the serving layer
-    (wire codec, cache keying, coalescing, resident solvers) is a
-    transport, not a second solver.
+    corresponding direct library call (the daemon always runs the
+    default engine) for all three problems.  This is the proof that
+    the serving layer (wire codec, cache keying, coalescing, resident
+    solvers) is a transport, not a second solver.
     """
 
     EDITS = 6
@@ -299,21 +299,20 @@ class TestServeDifferential:
         return body
 
     def _check_problems(self, server, spec, graph: SignedGraph,
-                        tau: int, engine: str, context: str) -> None:
+                        tau: int, context: str) -> None:
         from repro.core.gmbc import gmbc_star
         from repro.core.result import SolveResult
 
         body = self._solve(server, {
-            "graph": spec, "problem": "mbc", "tau": tau,
-            "engine": engine})
+            "graph": spec, "problem": "mbc", "tau": tau})
         served = SolveResult.from_json(body["result"])
-        direct = mbc_star(graph, tau, engine=engine)
+        direct = mbc_star(graph, tau)
         assert served.clique.size == direct.size, context
         assert_valid(served.clique, graph, tau)
 
         body = self._solve(server, {
-            "graph": spec, "problem": "pf", "engine": engine})
-        assert body["beta"] == pf_star(graph, engine=engine), context
+            "graph": spec, "problem": "pf"})
+        assert body["beta"] == pf_star(graph), context
         witness = SolveResult.from_json(body["result"]).clique
         # Every pf path — direct, cached, resident — must back the
         # bound with a witness achieving it (empty only at beta 0).
@@ -322,8 +321,8 @@ class TestServeDifferential:
             assert_valid(witness, graph, 0)
 
         body = self._solve(server, {
-            "graph": spec, "problem": "gmbc", "engine": engine})
-        direct_sweep = gmbc_star(graph, engine=engine)
+            "graph": spec, "problem": "gmbc"})
+        direct_sweep = gmbc_star(graph)
         assert len(body["result"]["cliques"]) == len(direct_sweep), \
             context
         for sweep_tau, (payload, clique) in enumerate(
@@ -345,15 +344,12 @@ class TestServeDifferential:
         # reference must be the graph parsed the same way, not the
         # pre-serialisation original.
         graph = graph_from_inline(spec)
-        for engine in SOLVER_ENGINES:
-            post(server, "/cache/clear", {})
-            self._check_problems(
-                server, spec, graph, tau, engine,
-                f"seed={seed} engine={engine} cold")
-            # Second pass answers from the cache; must be identical.
-            self._check_problems(
-                server, spec, graph, tau, engine,
-                f"seed={seed} engine={engine} cached")
+        post(server, "/cache/clear", {})
+        self._check_problems(
+            server, spec, graph, tau, f"seed={seed} cold")
+        # Second pass answers from the cache; must be identical.
+        self._check_problems(
+            server, spec, graph, tau, f"seed={seed} cached")
 
     @pytest.mark.parametrize(
         "seed", range(BASE_SEED, BASE_SEED + SWEEP, SWEEP // 10))
@@ -383,7 +379,6 @@ class TestServeDifferential:
         assert status == 200, body
         assert body["applied"] == len(lines)
         assert body["fingerprint"] == mirror.graph.fingerprint()
-        for engine in SOLVER_ENGINES:
-            self._check_problems(
-                server, f"graph:{name}", mirror.graph, tau, engine,
-                f"seed={seed} engine={engine} post-edit")
+        self._check_problems(
+            server, f"graph:{name}", mirror.graph, tau,
+            f"seed={seed} post-edit")

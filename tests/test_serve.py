@@ -20,6 +20,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,8 @@ from repro.signed.graph import POSITIVE, SignedGraph
 from .conftest import make_random_signed_graph
 
 # -- fixtures and helpers ----------------------------------------------
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: A 3|3 two-faction graph: optimum {0,1,2}|{3,4,5} at tau=3.
 FACTIONS = (
@@ -285,9 +288,11 @@ class TestSolveValidation:
                                   "problem": "mbc", "tau": tau}, "tau")
 
     def test_unknown_engine(self, server):
-        self._reject(server, {"graph": {"edges": FACTIONS},
-                              "problem": "mbc", "engine": "cuda"},
-                     "engine", "cuda")
+        # The engine is not a request field: any value is rejected.
+        for engine in ("cuda", "set", "bitset"):
+            self._reject(server, {"graph": {"edges": FACTIONS},
+                                  "problem": "mbc", "engine": engine},
+                         "unknown request fields", "engine")
 
     def test_bad_timeout(self, server):
         for timeout in (-1, "fast", True):
@@ -413,13 +418,6 @@ class TestSolve:
             assert clique.size == direct.size
             assert clique.polarization >= tau
 
-    def test_engine_override_is_reported(self, server):
-        status, body = post(server, "/solve", {
-            "graph": {"edges": FACTIONS}, "problem": "mbc",
-            "engine": "set"})
-        assert status == 200
-        assert body["engine"] == "set"
-
     def test_dataset_ref_solves(self, server):
         status, body = post(server, "/solve", {
             "graph": "dataset:bitcoin@0.05", "problem": "mbc",
@@ -454,13 +452,6 @@ class TestCache:
         post(server, "/solve", {**base, "tau": 1})
         _, body = post(server, "/solve", {**base, "tau": 2})
         assert body["cache"] == "hit"
-
-    def test_different_engine_misses(self, server):
-        base = {"graph": {"edges": FACTIONS}, "problem": "mbc",
-                "tau": 3}
-        post(server, "/solve", {**base, "engine": "bitset"})
-        _, body = post(server, "/solve", {**base, "engine": "set"})
-        assert body["cache"] == "miss"
 
     def test_same_graph_inline_vs_dataset_shares_entries(self, server):
         # Fingerprint keying: the same content served two ways is one
@@ -800,11 +791,68 @@ class TestEditSolveInterleaving:
 # -- direct coverage of the blocking core ------------------------------
 
 
+class TestNoEngineField:
+    """A pooled service (``workers=2``) over a stand-in dataset.
+
+    Naming an engine in a solve or registration body is a client
+    mistake (400); the same body without it answers the optimum pinned
+    in ``perfbench/expected.json``.
+    """
+
+    @pytest.fixture(scope="class")
+    def pooled(self):
+        with BackgroundServer(SolverService(workers=2)) as running:
+            yield running
+
+    @pytest.fixture(scope="class")
+    def expected(self) -> dict:
+        path = REPO_ROOT / "perfbench" / "expected.json"
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("problem", ["mbc", "pf"])
+    def test_solve_naming_engine_is_400(self, pooled, expected,
+                                        problem):
+        body = {"graph": "dataset:bitcoin", "problem": problem,
+                "tau": expected["tau"]}
+        for engine in ("set", "bitset"):
+            status, answer = post(pooled, "/solve",
+                                  {**body, "engine": engine})
+            assert status == 400, answer
+            assert "engine" in answer["error"]
+        status, answer = post(pooled, "/solve", body)
+        assert status == 200, answer
+        assert answer["status"] == "optimal"
+        assert "engine" not in answer
+        pinned = expected[problem]["bitcoin"]
+        if problem == "mbc":
+            clique = SolveResult.from_json(answer["result"]).clique
+            assert clique.size == pinned
+        else:
+            assert answer["beta"] == pinned
+
+    def test_register_naming_engine_is_400(self, pooled, expected):
+        body = {"name": "btc", "graph": "dataset:bitcoin",
+                "tau": expected["tau"]}
+        status, answer = post(pooled, "/graphs",
+                              {**body, "engine": "set"})
+        assert status == 400, answer
+        assert "engine" in answer["error"]
+        status, row = post(pooled, "/graphs", body)
+        assert status == 200, row
+        assert "engine" not in row
+        status, answer = post(pooled, "/solve", {
+            "graph": "graph:btc", "problem": "mbc",
+            "tau": expected["tau"]})
+        assert status == 200, answer
+        clique = SolveResult.from_json(answer["result"]).clique
+        assert clique.size == expected["mbc"]["bitcoin"]
+
+
 class TestServiceCore:
     def test_cache_rejects_non_optimal_payloads(self):
         cache = ResultCache(4)
         with pytest.raises(ValueError, match="OPTIMAL"):
-            cache.put(("f", "mbc", 3, "bitset"),
+            cache.put(("f", "mbc", 3),
                       {"status": "budget_exhausted"})
 
     def test_cache_is_lru(self):
@@ -830,8 +878,10 @@ class TestServiceCore:
         assert excinfo.value.status == 400
 
     def test_service_rejects_unknown_default_engine(self):
-        with pytest.raises(ValueError, match="cuda"):
-            SolverService(default_engine="cuda")
+        # The service has no engine knob at all.
+        for engine in ("cuda", "bitset"):
+            with pytest.raises(TypeError, match="default_engine"):
+                SolverService(default_engine=engine)  # type: ignore
 
     def test_pool_size_validation(self):
         from repro.serve import ServeApp
