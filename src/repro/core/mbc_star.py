@@ -7,11 +7,15 @@ Pipeline:
 2. ``MBC-Heu`` supplies an initial solution ``C*``;
 3. reduce the graph to its ``|C*|``-core (signs ignored) and compute
    the degeneracy ordering;
-4. for each vertex ``u`` in *reverse* degeneracy order, build the
-   dichromatic network ``g_u`` over ``u``'s higher-ranked neighbours,
-   core-reduce it, skip it when the colouring bound cannot beat
-   ``|C*|``, and otherwise solve a maximum dichromatic clique instance
-   (:func:`repro.dichromatic.mdc.solve_mdc`).
+4. for each vertex ``u`` in *reverse* degeneracy order, run the MDC
+   ego step of :mod:`repro.dichromatic.ego`: skip ``u`` when its
+   higher-ranked neighbour counts cannot meet ``tau`` or beat ``|C*|``,
+   otherwise build the dichromatic network ``g_u``, core-reduce it,
+   skip it when the colouring bound cannot beat ``|C*|``, and solve a
+   maximum dichromatic clique instance
+   (:func:`repro.dichromatic.mdc.solve_mdc`).  This module keeps only
+   the loop: the order, the higher-ranked mask, the incumbent, budget
+   checkpoints and the ``check_only`` early exit.
 
 Every size bar below also folds in the feasibility bound
 ``|C| >= 2 * tau`` (both sides need ``tau`` vertices), which is what
@@ -20,28 +24,17 @@ lets gMBC* seed the search with ``(2 tau - 1)``-cores.
 
 from __future__ import annotations
 
-from ..dichromatic.build import build_dichromatic_network, \
-    build_dichromatic_network_bits, build_dichromatic_network_matrix, \
-    ego_edge_count_from_matrix, ego_network_edge_count, \
-    ego_network_edge_count_bits
-from ..dichromatic.cores import k_core_active
-from ..dichromatic.mdc import solve_mdc
+from ..dichromatic.ego import MDC_STEPS, ego_adjacency, witness_members
 from ..kernels import engine_spec, npmask, validate_engine
-from ..kernels.active import (
-    active_edge_count_mask,
-    coloring_upper_bound_active_mask,
-    degeneracy_ordering_mask,
-    k_core_active_mask,
-)
+from ..kernels.active import degeneracy_ordering_mask, k_core_active_mask
 from ..kernels.bitset import bits_of, mask_of
 from ..obs import Tracer, current_tracer
 from ..parallel.engine import mbc_ego_fanout, resolve_workers
 from ..resilience.budget import Budget, BudgetExceeded
 from ..signed.graph import SignedGraph
-from ..unsigned.coloring import coloring_upper_bound
 from ..unsigned.cores import k_core_subset
 from ..unsigned.graph import UnsignedGraph
-from ..unsigned.ordering import HigherRanked, degeneracy_ordering
+from ..unsigned.ordering import degeneracy_ordering
 from .heuristic import mbc_heuristic
 from .reductions import edge_reduction, edge_reduction_fast, \
     vertex_reduction
@@ -95,8 +88,10 @@ def mbc_star(
         Ablation switches for the colouring-bound and core-reduction
         pruning (both on by default, as in the paper).
     engine:
-        ``"bitset"`` (default) runs the per-instance kernels and the
-        MDC search on int-mask adjacency (see :mod:`repro.kernels`);
+        Which ego step of :mod:`repro.dichromatic.ego` runs each
+        vertex: ``"bitset"`` (default) runs the per-instance kernels
+        and the MDC search on int-mask adjacency (see
+        :mod:`repro.kernels`);
         ``"numpy"`` runs them on vectorised uint64 mask matrices
         (:mod:`repro.kernels.npmask`); ``"set"`` is the original
         adjacency-set path, retained for differential testing and the
@@ -287,7 +282,6 @@ def _pipeline(
         else:
             order = core
         phase.set(n=len(order))
-    rank = {v: position for position, v in enumerate(order)}
 
     # Parallel fan-out: the per-vertex instances of the sweep below are
     # order-independent, so with workers requested they are dispatched
@@ -302,14 +296,15 @@ def _pipeline(
             use_core=use_core, use_coloring=use_coloring, stats=stats,
             engine=engine, trace=tracer, budget=budget)
 
-    # Line 5: process vertices in reverse degeneracy order.  The bitset
-    # engine carries the "higher-ranked" filter as a mask accumulated
-    # over already-processed vertices (exactly the vertices ranked above
-    # the current one).
+    # Line 5: process vertices in reverse order, one ego step each (the
+    # per-vertex body -- count bounds, g_u, its |C*|-core, colouring
+    # bound, MDC -- lives in repro.dichromatic.ego).  The higher-ranked
+    # filter is a mask accumulated over the vertices already processed,
+    # exactly those ranked above the current one.
+    mdc_step = MDC_STEPS[engine]
+    adjacency = ego_adjacency(working, engine)
     with tracer.span("sweep", n=len(order)):
-        allowed_mask = 0
-        allowed_row = npmask.row_from_mask(0, n) \
-            if engine == "numpy" else None
+        allowed = 0
         for u in reversed(order):
             # Anytime contract: a budgeted sweep stops between (or,
             # via the per-node spend inside solve_mdc, within) ego
@@ -319,190 +314,29 @@ def _pipeline(
                     budget.check()
                 except BudgetExceeded:
                     break
+            if stats is not None:
+                stats.vertices_examined += 1
             with tracer.span("ego", v=u) as ego:
-                required = max(best.size + 1, 2 * tau)
-                this_allowed_mask = allowed_mask
-                allowed_mask |= 1 << u
-                if allowed_row is not None:
-                    this_allowed_row = allowed_row.copy()
-                    npmask.set_bit(allowed_row, u)
-                if stats is not None:
-                    stats.vertices_examined += 1
-                # Line 7: |C*|-core of g_u (k shifted by one: u is
-                # excluded).  Line 8: colouring-based pruning of the
-                # whole instance.  Both run on the engine's native
-                # representation; the bitset path builds the network
-                # straight from global adjacency masks and hands the
-                # surviving mask to solve_mdc.
-                if engine == "bitset":
-                    # g_u's vertex count is one popcount away; only
-                    # build the network when it can hold the bar.
-                    candidates = (working.pos_adjacency_bits()[u]
-                                  | working.neg_adjacency_bits()[u])
-                    if (candidates & this_allowed_mask).bit_count() + 1 \
-                            < required:
-                        ego.set(pruned="size")
-                        continue
-                    network = build_dichromatic_network_bits(
-                        working, u, this_allowed_mask)
-                    adj_bits = network.adjacency_bits()
-                    active_mask = network.all_bits()
-                    if use_core:
-                        active_mask = k_core_active_mask(
-                            adj_bits, required - 2, active_mask)
-                    if active_mask.bit_count() + 1 < required:
-                        ego.set(pruned="core")
-                        continue
-                    if use_coloring:
-                        bound = coloring_upper_bound_active_mask(
-                            adj_bits, active_mask)
-                        if bound < required - 1:
-                            ego.set(pruned="color")
-                            continue
-                    ego.set(n=network.num_vertices,
-                            reduced=active_mask.bit_count())
-                    if stats is not None:
-                        stats.instances += 1
-                        ego_edges = ego_network_edge_count_bits(
-                            working, u, this_allowed_mask)
-                        reduced_edges = active_edge_count_mask(
-                            adj_bits, active_mask)
-                        stats.record_reduction(
-                            ego_edges, network.num_edges, reduced_edges)
-                    try:
-                        found = solve_mdc(
-                            network, tau - 1, tau,
-                            must_exceed=required - 2,
-                            stats=stats,
-                            check_only=check_only,
-                            use_coloring=use_coloring,
-                            use_core=use_core,
-                            engine=engine,
-                            active_mask=active_mask,
-                            trace=tracer,
-                            budget=budget)
-                    except BudgetExceeded:
-                        break
-                elif engine == "numpy":
-                    network = build_dichromatic_network_matrix(
-                        working, u, this_allowed_row)
-                    if network.num_vertices + 1 < required:
-                        ego.set(pruned="size")
-                        continue
-                    adj_mat = network.adjacency_matrix()
-                    active_row = network.all_row()
-                    if use_core:
-                        active_row = npmask.k_core_active(
-                            adj_mat, required - 2, active_row)
-                    reduced_count = npmask.row_count(active_row)
-                    if reduced_count + 1 < required:
-                        ego.set(pruned="core")
-                        continue
-                    if use_coloring:
-                        bound = npmask.coloring_upper_bound_active(
-                            adj_mat, active_row)
-                        if bound < required - 1:
-                            ego.set(pruned="color")
-                            continue
-                    ego.set(n=network.num_vertices,
-                            reduced=reduced_count)
-                    if stats is not None:
-                        stats.instances += 1
-                        ego_edges = ego_edge_count_from_matrix(
-                            working.pos_adjacency_matrix(),
-                            working.neg_adjacency_matrix(),
-                            u, this_allowed_row)
-                        reduced_edges = npmask.active_edge_count(
-                            adj_mat, active_row)
-                        stats.record_reduction(
-                            ego_edges, network.num_edges, reduced_edges)
-                    try:
-                        found = solve_mdc(
-                            network, tau - 1, tau,
-                            must_exceed=required - 2,
-                            stats=stats,
-                            check_only=check_only,
-                            use_coloring=use_coloring,
-                            use_core=use_core,
-                            engine=engine,
-                            active_row=active_row,
-                            trace=tracer,
-                            budget=budget)
-                    except BudgetExceeded:
-                        break
-                else:
-                    allowed = HigherRanked(rank, rank[u])
-                    network = build_dichromatic_network(
-                        working, u, allowed)
-                    if network.num_vertices + 1 < required:
-                        ego.set(pruned="size")
-                        continue
-                    active = set(network.vertices())
-                    if use_core:
-                        active = k_core_active(
-                            network, required - 2, active)
-                    if len(active) + 1 < required:
-                        ego.set(pruned="core")
-                        continue
-                    if use_coloring:
-                        bound = _color_bound(network, active)
-                        if bound < required - 1:
-                            ego.set(pruned="color")
-                            continue
-                    ego.set(n=network.num_vertices, reduced=len(active))
-                    if stats is not None:
-                        stats.instances += 1
-                        ego_edges = ego_network_edge_count(
-                            working, u, allowed)
-                        reduced_edges = _active_edge_count(
-                            network, active)
-                        stats.record_reduction(
-                            ego_edges, network.num_edges, reduced_edges)
-                    try:
-                        found = solve_mdc(
-                            network, tau - 1, tau,
-                            must_exceed=required - 2,
-                            stats=stats,
-                            check_only=check_only,
-                            active=active,
-                            use_coloring=use_coloring,
-                            use_core=use_core,
-                            engine=engine,
-                            trace=tracer,
-                            budget=budget)
-                    except BudgetExceeded:
-                        break
-                ego.set(found=found is not None)
-                if found is None:
-                    continue
-                left = {u}
-                right: set[int] = set()
-                for v in found:
-                    orig = network.origin[v]
-                    if network.is_left[v]:
-                        left.add(orig)
-                    else:
-                        right.add(orig)
-                candidate = BalancedClique.from_sides(left, right)
-                if check_only:
-                    return candidate
-                if candidate.size > best.size:
-                    best = candidate
+                try:
+                    _pruned, _upper, network, found = mdc_step(
+                        adjacency, u, allowed, tau,
+                        max(best.size + 1, 2 * tau),
+                        use_core=use_core, use_coloring=use_coloring,
+                        stats=stats, tracer=tracer, ego=ego,
+                        check_only=check_only, budget=budget)
+                except BudgetExceeded:
+                    break
+            allowed |= 1 << u
+            if found is None or network is None:
+                continue
+            candidate = BalancedClique.from_anchor(
+                u, witness_members(network, found))
+            if check_only:
+                return candidate
+            if candidate.size > best.size:
+                best = candidate
 
     if check_only:
         return EMPTY_RESULT
     return best
 
-
-def _color_bound(network: "DichromaticGraph", active: set[int]) -> int:
-    """Greedy-colouring clique bound over ``active`` in ``network``."""
-    from ..dichromatic.cores import coloring_upper_bound_active
-
-    return coloring_upper_bound_active(network, active)
-
-
-def _active_edge_count(network: "DichromaticGraph",
-                       active: set[int]) -> int:
-    """Edges of the dichromatic network inside ``active``."""
-    return sum(
-        len(network.neighbors(v) & active) for v in active) // 2

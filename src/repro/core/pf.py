@@ -13,28 +13,25 @@ paper's experimental line-up:
   process vertices in reverse *polarization order* (``PDecompose``),
   and for each ask only the +1 question — "does ``g_u`` hold a
   dichromatic clique with ``tau* + 1`` vertices per side?" — via DCC,
-  justified by Lemma 4.  ``ordering='degeneracy'`` gives the
-  ``PF*-DOrder`` variant of Figure 9.
+  justified by Lemma 4.  The question is the DCC ego step of
+  :mod:`repro.dichromatic.ego` (candidate bound, bicore, DCC), shared
+  with the pool workers and the dynamic solver; this module keeps the
+  loop.  ``ordering='degeneracy'`` gives the ``PF*-DOrder`` variant of
+  Figure 9.
 """
 
 from __future__ import annotations
 
-from ..dichromatic.build import build_dichromatic_network, \
-    build_dichromatic_network_bits, build_dichromatic_network_matrix, \
-    ego_edge_count_from_matrix, ego_network_edge_count, \
-    ego_network_edge_count_bits
-from ..dichromatic.cores import bicore_active
-from ..dichromatic.dcc import dichromatic_clique_witness
+from ..dichromatic.ego import DCC_STEPS, ego_adjacency, witness_members
 from ..kernels import engine_spec, npmask, validate_engine
-from ..kernels.active import active_edge_count_mask, bicore_active_mask, \
-    degeneracy_ordering_mask
+from ..kernels.active import degeneracy_ordering_mask
 from ..kernels.bitset import mask_of
 from ..obs import Tracer, current_tracer
 from ..parallel.engine import pf_round_fanout, resolve_workers
 from ..resilience.budget import Budget, BudgetExceeded
 from ..signed.graph import SignedGraph
 from ..unsigned.graph import UnsignedGraph
-from ..unsigned.ordering import HigherRanked, degeneracy_ordering
+from ..unsigned.ordering import degeneracy_ordering
 from .heuristic import mbc_heuristic
 from .mbc_star import mbc_star
 from .reductions import polar_core_numbers, polarization_upper_bound, \
@@ -202,10 +199,11 @@ def pf_star(
     return_witness:
         Also return a balanced clique achieving the factor.
     engine:
-        ``"bitset"`` (default) runs the per-vertex bicore reduction and
-        DCC check on int-mask adjacency, ``"numpy"`` on vectorised
-        uint64 mask matrices; ``"set"`` is the original adjacency-set
-        path.
+        Which ego step of :mod:`repro.dichromatic.ego` runs the
+        per-vertex candidate bound, bicore reduction and DCC check:
+        ``"bitset"`` (default) on int-mask adjacency, ``"numpy"`` on
+        vectorised uint64 mask matrices; ``"set"`` is the original
+        adjacency-set path.
     parallel:
         Number of worker processes.  ``0``/``1`` run the serial sweep;
         larger values run the round-based fan-out of
@@ -309,7 +307,6 @@ def _pf_pipeline(
             order = degeneracy_ordering(
                 UnsignedGraph.from_signed(graph), survivors)
         phase.set(n=len(order))
-    rank = {v: position for position, v in enumerate(order)}
 
     # Parallel fan-out: rounds of concurrent +1 questions instead of
     # the serial sweep (identical beta(G); see repro.parallel).
@@ -319,13 +316,15 @@ def _pf_pipeline(
             order, pn, tau_star, witness, workers,
             stats=stats, engine=engine, trace=tracer, budget=budget)
 
-    # Lines 4-8: reverse-order sweep with DCC checks.  As in MBC*, the
-    # bitset engine accumulates the higher-ranked filter as a mask of
-    # already-processed vertices.
+    # Lines 4-8: reverse-order sweep, one +1 feasibility question per
+    # vertex (Lemma 4) through the DCC ego step of
+    # repro.dichromatic.ego (candidate bound, g_u, its
+    # (tau*+1, tau*+1)-core, DCC).  As in MBC*, the higher-ranked
+    # filter is a mask of already-processed vertices.
+    dcc_step = DCC_STEPS[engine]
+    adjacency = ego_adjacency(graph, engine)
     with tracer.span("sweep", n=len(order)):
-        allowed_mask = 0
-        allowed_row = npmask.row_from_mask(0, n) \
-            if engine == "numpy" else None
+        allowed = 0
         for u in reversed(order):
             if pn is not None and pn[u] <= tau_star:
                 # Lemma 5: pn(u) >= gamma(g_u); nothing later helps.
@@ -337,112 +336,19 @@ def _pf_pipeline(
                     budget.check()
                 except BudgetExceeded:
                     break
+            if stats is not None:
+                stats.vertices_examined += 1
             with tracer.span("ego", v=u, bar=tau_star) as ego:
-                this_allowed_mask = allowed_mask
-                allowed_mask |= 1 << u
-                if allowed_row is not None:
-                    this_allowed_row = allowed_row.copy()
-                    npmask.set_bit(allowed_row, u)
-                if stats is not None:
-                    stats.vertices_examined += 1
-                if engine == "bitset":
-                    network = build_dichromatic_network_bits(
-                        graph, u, this_allowed_mask)
-                elif engine == "numpy":
-                    network = build_dichromatic_network_matrix(
-                        graph, u, this_allowed_row)
-                else:
-                    allowed = HigherRanked(rank, rank[u])
-                    network = build_dichromatic_network(
-                        graph, u, allowed)
-                # Line 6: (tau*+1, tau*+1)-core of g_u; thresholds
-                # shifted because u (an L-vertex adjacent to everyone)
-                # is excluded.
-                if engine == "bitset":
-                    adj_bits = network.adjacency_bits()
-                    left_bits = network.left_bits()
-                    active_mask = bicore_active_mask(
-                        adj_bits, left_bits, tau_star, tau_star + 1,
-                        network.all_bits())
-                    left_count = (active_mask & left_bits).bit_count()
-                    right_count = active_mask.bit_count() - left_count
-                elif engine == "numpy":
-                    adj_mat = network.adjacency_matrix()
-                    left_row = network.left_row()
-                    active_row = npmask.bicore_active(
-                        adj_mat, left_row, tau_star, tau_star + 1,
-                        network.all_row())
-                    left_count = npmask.row_count(
-                        active_row & left_row)
-                    right_count = npmask.row_count(
-                        active_row) - left_count
-                else:
-                    active = bicore_active(
-                        network, tau_star, tau_star + 1,
-                        set(network.vertices()))
-                    left_count = sum(
-                        1 for v in active if network.is_left[v])
-                    right_count = len(active) - left_count
-                # Line 7: u must itself survive in the core.
-                if left_count < tau_star or right_count < tau_star + 1:
-                    ego.set(pruned="core")
-                    continue
-                ego.set(n=network.num_vertices)
-                if stats is not None:
-                    stats.instances += 1
-                    if engine == "bitset":
-                        ego_edges = ego_network_edge_count_bits(
-                            graph, u, this_allowed_mask)
-                        reduced = active_edge_count_mask(
-                            adj_bits, active_mask)
-                    elif engine == "numpy":
-                        ego_edges = ego_edge_count_from_matrix(
-                            graph.pos_adjacency_matrix(),
-                            graph.neg_adjacency_matrix(),
-                            u, this_allowed_row)
-                        reduced = npmask.active_edge_count(
-                            adj_mat, active_row)
-                    else:
-                        ego_edges = ego_network_edge_count(
-                            graph, u, allowed)
-                        reduced = sum(
-                            len(network.neighbors(v) & active)
-                            for v in active) // 2
-                    stats.record_reduction(
-                        ego_edges, network.num_edges, reduced)
-                # Line 8: one +1 feasibility question per vertex
-                # (Lemma 4).
                 try:
-                    if engine == "bitset":
-                        found = dichromatic_clique_witness(
-                            network, tau_star, tau_star + 1,
-                            stats=stats, engine=engine,
-                            active_mask=active_mask, trace=tracer,
-                            budget=budget)
-                    elif engine == "numpy":
-                        found = dichromatic_clique_witness(
-                            network, tau_star, tau_star + 1,
-                            stats=stats, engine=engine,
-                            active_row=active_row, trace=tracer,
-                            budget=budget)
-                    else:
-                        found = dichromatic_clique_witness(
-                            network, tau_star, tau_star + 1,
-                            stats=stats, active=active, engine=engine,
-                            trace=tracer, budget=budget)
+                    _pruned, _upper, network, found = dcc_step(
+                        adjacency, u, allowed, tau_star, stats=stats,
+                        tracer=tracer, ego=ego, budget=budget)
                 except BudgetExceeded:
                     break
-                ego.set(found=found is not None)
-                if found is not None:
-                    tau_star += 1
-                    left = {u}
-                    right: set[int] = set()
-                    for v in found:
-                        orig = network.origin[v]
-                        if network.is_left[v]:
-                            left.add(orig)
-                        else:
-                            right.add(orig)
-                    witness = BalancedClique.from_sides(left, right)
+            allowed |= 1 << u
+            if found is not None and network is not None:
+                tau_star += 1
+                witness = BalancedClique.from_anchor(
+                    u, witness_members(network, found))
 
     return tau_star, witness

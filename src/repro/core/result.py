@@ -61,6 +61,18 @@ class BalancedClique:
         return cls(left_f, right_f)
 
     @classmethod
+    def from_anchor(
+        cls, u: int, members: "list[tuple[int, bool]]",
+    ) -> "BalancedClique":
+        """An ego witness: the anchor ``u`` (left side) plus its
+        ``(vertex, is_left)`` members."""
+        left = {u}
+        right: set[int] = set()
+        for vertex, is_left in members:
+            (left if is_left else right).add(vertex)
+        return cls.from_sides(left, right)
+
+    @classmethod
     def from_vertices(
         cls, graph: SignedGraph, vertices: "set[int] | frozenset[int]"
     ) -> "BalancedClique":

@@ -48,7 +48,6 @@ __all__ = [
     "build_dichromatic_network_matrix",
     "dichromatic_network_from_matrix",
     "ego_network_edge_count",
-    "ego_network_edge_count_bits",
     "ego_edge_count_from_masks",
     "ego_edge_count_from_matrix",
 ]
@@ -250,25 +249,14 @@ def ego_network_edge_count(
     return count // 2
 
 
-def ego_network_edge_count_bits(
-    graph: SignedGraph,
-    u: int,
-    allowed_mask: int | None = None,
-) -> int:
-    """Bitset fast path of :func:`ego_network_edge_count`."""
-    return ego_edge_count_from_masks(
-        graph.pos_adjacency_bits(), graph.neg_adjacency_bits(),
-        u, allowed_mask)
-
-
 def ego_edge_count_from_masks(
     pos_bits: list[int],
     neg_bits: list[int],
     u: int,
     allowed_mask: int | None = None,
 ) -> int:
-    """:func:`ego_network_edge_count_bits` over raw mask arrays (the
-    representation the parallel workers hold)."""
+    """Bitset fast path of :func:`ego_network_edge_count`, over raw mask
+    arrays (the representation the ego steps take)."""
     members = pos_bits[u] | neg_bits[u]
     if allowed_mask is not None:
         members &= allowed_mask

@@ -1,0 +1,428 @@
+"""One ego step per engine: the per-vertex body of MBC* and PF*.
+
+Algorithms 2 and 4 give every vertex ``u`` of the sweep one fixed
+step: build the dichromatic network ``g_u`` over ``u``'s higher-ranked
+neighbours, prune it with the core and colouring bounds (the
+``(tau_L, tau_R)``-core for PF*), then solve MDC or ask DCC.  This
+module writes that step once per engine; the serial sweeps of
+:func:`repro.core.mbc_star.mbc_star` and :func:`repro.core.pf.pf_star`,
+the pool chunk runners of :mod:`repro.parallel.worker` and
+:class:`repro.dynamic.DynamicSolver` all call it.
+
+The prune chains, cheapest test first:
+
+* **MDC** (maximum anchored clique of size ``>= required``): the
+  tau-count bound (``u`` needs ``tau - 1`` positive and ``tau``
+  negative higher-ranked neighbours), the candidate-count bound, then
+  the network, its ``(required - 2)``-core, the colouring bound, and
+  :func:`~repro.dichromatic.mdc.solve_mdc`;
+* **DCC** (is there an anchored clique with polarization
+  ``> bar``?): the candidate-count bound, then the network, its
+  ``(bar, bar + 1)``-core, and
+  :func:`~repro.dichromatic.dcc.dichromatic_clique_witness`.
+
+Each engine holds the adjacency in its own form — ``(pos_bits,
+neg_bits)`` int-mask lists for ``"bitset"``, ``(pos_mat, neg_mat)``
+uint64 matrices for ``"numpy"``, the :class:`SignedGraph` itself for
+``"set"`` — and every step takes ``allowed``, the higher-ranked
+vertices, as an int mask.  Every step returns an :data:`EgoOutcome`
+``(pruned, upper, network, witness)``:
+
+* ``pruned`` is the reason (``"bound"``, ``"core"``, ``"color"``) when
+  a bound disposed of the ego, else ``None``; exactly one of it and
+  ``network`` is ``None``;
+* ``upper`` is a *certified* upper bound on the anchored quantity —
+  the size of a tau-satisfying balanced clique through ``u`` (MDC) or
+  its polarization (DCC).  It rests only on facts about the ego
+  instance (candidate counts, or an exhaustive search below the bar),
+  so it holds however the bar was derived.  Under ``check_only`` the
+  MDC search stops at its first witness, so ``upper`` is then *not*
+  certified;
+* ``witness`` is the clique found in ``network``'s local ids (``u``
+  excluded), or ``None``.  An MDC witness is the exact anchored optimum
+  (outside ``check_only``); a DCC witness has exactly ``bar`` same-side
+  and ``bar + 1`` opposite-side members.
+
+The step sets ``pruned``/``found`` (and the instance size) on the
+caller's ``ego`` span and counts ``instances`` and the Table IV
+reduction ratios in ``stats``; the caller keeps everything about the
+loop: the order, the ``allowed`` accumulator, the bar, budget
+checkpoints and what to do with a witness.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable
+
+from ..kernels import npmask
+from ..kernels.active import (
+    active_edge_count_mask,
+    bicore_active_mask,
+    coloring_upper_bound_active_mask,
+    k_core_active_mask,
+)
+from ..obs import NULL_SPAN, Span, Tracer
+from ..resilience.budget import Budget
+from ..signed.graph import SignedGraph
+from .build import build_dichromatic_network, \
+    dichromatic_network_from_masks, dichromatic_network_from_matrix, \
+    ego_edge_count_from_masks, ego_edge_count_from_matrix, \
+    ego_network_edge_count
+from .cores import bicore_active, coloring_upper_bound_active, \
+    k_core_active
+from .dcc import dichromatic_clique_witness
+from .graph import DichromaticGraph
+from .mdc import solve_mdc
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.stats import SearchStats
+    from ..kernels.npmask import Matrix
+
+__all__ = [
+    "EgoOutcome",
+    "MDC_STEPS",
+    "DCC_STEPS",
+    "ego_adjacency",
+    "witness_members",
+    "mdc_step_bits",
+    "mdc_step_np",
+    "mdc_step_set",
+    "dcc_step_bits",
+    "dcc_step_np",
+    "dcc_step_set",
+]
+
+#: ``(pruned reason, certified upper, network, witness)`` — see the
+#: module docstring.
+EgoOutcome = tuple[
+    "str | None", int, "DichromaticGraph | None", "set[int] | None"]
+
+
+def ego_adjacency(graph: SignedGraph, engine: str) -> object:
+    """``graph``'s adjacency in ``engine``'s form for the steps below
+    (the graph's cached masks or matrices; the graph itself for
+    ``"set"``)."""
+    if engine == "bitset":
+        return graph.pos_adjacency_bits(), graph.neg_adjacency_bits()
+    if engine == "numpy":
+        return graph.pos_adjacency_matrix(), graph.neg_adjacency_matrix()
+    return graph
+
+
+def witness_members(network: DichromaticGraph,
+                    found: set[int]) -> list[tuple[int, bool]]:
+    """A witness as ``(graph vertex, is_left)`` pairs (anchor
+    excluded; the anchor is on the left side)."""
+    return [(network.origin[v], network.is_left[v]) for v in found]
+
+
+def _pruned(ego: Span, reason: str, upper: int) -> EgoOutcome:
+    ego.set(pruned=reason)
+    return reason, upper, None, None
+
+
+def _mdc_solved(ego: Span, required: int, network: DichromaticGraph,
+                found: "set[int] | None") -> EgoOutcome:
+    ego.set(found=found is not None)
+    # Exhaustive above the floor: a witness is the exact anchored
+    # optimum; no witness proves nothing >= required exists.
+    upper = len(found) + 1 if found is not None else required - 1
+    return None, upper, network, found
+
+
+def _dcc_solved(ego: Span, bar: int, cap: int, network: DichromaticGraph,
+                found: "set[int] | None") -> EgoOutcome:
+    ego.set(found=found is not None)
+    # A miss certifies nothing above bar; a hit leaves the cap.
+    return None, (bar if found is None else cap), network, found
+
+
+def mdc_step_bits(
+    adjacency: "tuple[list[int], list[int]]",
+    u: int,
+    allowed: int,
+    tau: int,
+    required: int,
+    *,
+    use_core: bool = True,
+    use_coloring: bool = True,
+    stats: "SearchStats | None" = None,
+    tracer: "Tracer | None" = None,
+    ego: Span = NULL_SPAN,
+    check_only: bool = False,
+    budget: "Budget | None" = None,
+) -> EgoOutcome:
+    """MBC*'s ego step on the bitset engine: the largest balanced
+    clique through ``u`` inside ``allowed`` with both sides ``>= tau``,
+    if it has at least ``required`` vertices."""
+    pos_bits, neg_bits = adjacency
+    pos_count = (pos_bits[u] & allowed).bit_count()
+    neg_count = (neg_bits[u] & allowed).bit_count()
+    if pos_count < tau - 1 or neg_count < tau:
+        return _pruned(ego, "bound", 0)
+    if pos_count + neg_count + 1 < required:
+        return _pruned(ego, "bound", pos_count + neg_count + 1)
+    network = dichromatic_network_from_masks(
+        pos_bits, neg_bits, u, allowed)
+    adj = network.adjacency_bits()
+    active = network.all_bits()
+    if use_core:
+        active = k_core_active_mask(adj, required - 2, active)
+    # Core/colour prunes certify only "nothing >= required": an anchored
+    # clique of size required - 1 may live outside the
+    # (required - 2)-core, so their bound is required - 1, no tighter.
+    if active.bit_count() + 1 < required:
+        return _pruned(ego, "core", required - 1)
+    if use_coloring and \
+            coloring_upper_bound_active_mask(adj, active) < required - 1:
+        return _pruned(ego, "color", required - 1)
+    ego.set(n=network.num_vertices, reduced=active.bit_count())
+    if stats is not None:
+        stats.instances += 1
+        stats.record_reduction(
+            ego_edge_count_from_masks(pos_bits, neg_bits, u, allowed),
+            network.num_edges, active_edge_count_mask(adj, active))
+    found = solve_mdc(
+        network, tau - 1, tau, must_exceed=required - 2, stats=stats,
+        check_only=check_only, use_coloring=use_coloring,
+        use_core=use_core, engine="bitset", active_mask=active,
+        trace=tracer, budget=budget)
+    return _mdc_solved(ego, required, network, found)
+
+
+def mdc_step_np(
+    adjacency: "tuple[Matrix, Matrix]",
+    u: int,
+    allowed: int,
+    tau: int,
+    required: int,
+    *,
+    use_core: bool = True,
+    use_coloring: bool = True,
+    stats: "SearchStats | None" = None,
+    tracer: "Tracer | None" = None,
+    ego: Span = NULL_SPAN,
+    check_only: bool = False,
+    budget: "Budget | None" = None,
+) -> EgoOutcome:
+    """:func:`mdc_step_bits` on the numpy engine's mask matrices."""
+    pos_mat, neg_mat = adjacency
+    allowed_row = npmask.row_from_mask(allowed, pos_mat.shape[0])
+    pos_count = npmask.degree_in_active(pos_mat, u, allowed_row)
+    neg_count = npmask.degree_in_active(neg_mat, u, allowed_row)
+    if pos_count < tau - 1 or neg_count < tau:
+        return _pruned(ego, "bound", 0)
+    if pos_count + neg_count + 1 < required:
+        return _pruned(ego, "bound", pos_count + neg_count + 1)
+    network = dichromatic_network_from_matrix(
+        pos_mat, neg_mat, u, allowed_row)
+    adj = network.adjacency_matrix()
+    active = network.all_row()
+    if use_core:
+        active = npmask.k_core_active(adj, required - 2, active)
+    reduced = npmask.row_count(active)
+    if reduced + 1 < required:
+        return _pruned(ego, "core", required - 1)
+    if use_coloring and \
+            npmask.coloring_upper_bound_active(adj, active) < required - 1:
+        return _pruned(ego, "color", required - 1)
+    ego.set(n=network.num_vertices, reduced=reduced)
+    if stats is not None:
+        stats.instances += 1
+        stats.record_reduction(
+            ego_edge_count_from_matrix(pos_mat, neg_mat, u, allowed_row),
+            network.num_edges, npmask.active_edge_count(adj, active))
+    found = solve_mdc(
+        network, tau - 1, tau, must_exceed=required - 2, stats=stats,
+        check_only=check_only, use_coloring=use_coloring,
+        use_core=use_core, engine="numpy", active_row=active,
+        trace=tracer, budget=budget)
+    return _mdc_solved(ego, required, network, found)
+
+
+def _allowed_sides(graph: SignedGraph, u: int,
+                   allowed: int) -> "tuple[set[int], set[int]]":
+    """``u``'s positive and negative neighbours inside ``allowed``."""
+    return ({v for v in graph.pos_neighbors(u) if allowed >> v & 1},
+            {v for v in graph.neg_neighbors(u) if allowed >> v & 1})
+
+
+def mdc_step_set(
+    adjacency: SignedGraph,
+    u: int,
+    allowed: int,
+    tau: int,
+    required: int,
+    *,
+    use_core: bool = True,
+    use_coloring: bool = True,
+    stats: "SearchStats | None" = None,
+    tracer: "Tracer | None" = None,
+    ego: Span = NULL_SPAN,
+    check_only: bool = False,
+    budget: "Budget | None" = None,
+) -> EgoOutcome:
+    """:func:`mdc_step_bits` on the set engine (the reference path)."""
+    pos, neg = _allowed_sides(adjacency, u, allowed)
+    if len(pos) < tau - 1 or len(neg) < tau:
+        return _pruned(ego, "bound", 0)
+    if len(pos) + len(neg) + 1 < required:
+        return _pruned(ego, "bound", len(pos) + len(neg) + 1)
+    members = pos | neg
+    network = build_dichromatic_network(adjacency, u, members)
+    active = set(network.vertices())
+    if use_core:
+        active = k_core_active(network, required - 2, active)
+    if len(active) + 1 < required:
+        return _pruned(ego, "core", required - 1)
+    if use_coloring and \
+            coloring_upper_bound_active(network, active) < required - 1:
+        return _pruned(ego, "color", required - 1)
+    ego.set(n=network.num_vertices, reduced=len(active))
+    if stats is not None:
+        stats.instances += 1
+        stats.record_reduction(
+            ego_network_edge_count(adjacency, u, members),
+            network.num_edges, _edges_inside(network, active))
+    found = solve_mdc(
+        network, tau - 1, tau, must_exceed=required - 2, stats=stats,
+        check_only=check_only, active=active, use_coloring=use_coloring,
+        use_core=use_core, engine="set", trace=tracer, budget=budget)
+    return _mdc_solved(ego, required, network, found)
+
+
+def _edges_inside(network: DichromaticGraph, active: set[int]) -> int:
+    """Edges of ``network`` with both endpoints in ``active``."""
+    return sum(len(network.neighbors(v) & active) for v in active) // 2
+
+
+def dcc_step_bits(
+    adjacency: "tuple[list[int], list[int]]",
+    u: int,
+    allowed: int,
+    bar: int,
+    *,
+    stats: "SearchStats | None" = None,
+    tracer: "Tracer | None" = None,
+    ego: Span = NULL_SPAN,
+    budget: "Budget | None" = None,
+) -> EgoOutcome:
+    """PF*'s ego step on the bitset engine: is there a balanced clique
+    through ``u`` inside ``allowed`` with polarization ``> bar``?
+
+    An anchored clique has at most ``pos + 1`` vertices on ``u``'s side
+    and ``neg`` on the other, so its polarization is at most ``cap =
+    min(pos + 1, neg)``; ``cap <= bar`` is exactly "fewer than ``bar``
+    positive or ``bar + 1`` negative candidates".  A failed bicore or
+    DCC certifies ``upper = bar``; after a witness ``cap`` remains.
+    """
+    pos_bits, neg_bits = adjacency
+    cap = min((pos_bits[u] & allowed).bit_count() + 1,
+              (neg_bits[u] & allowed).bit_count())
+    if cap <= bar:
+        return _pruned(ego, "bound", cap)
+    network = dichromatic_network_from_masks(
+        pos_bits, neg_bits, u, allowed)
+    adj = network.adjacency_bits()
+    left = network.left_bits()
+    # (bar + 1, bar + 1)-core of g_u, the L quota shifted by the
+    # excluded anchor u.
+    active = bicore_active_mask(adj, left, bar, bar + 1,
+                                network.all_bits())
+    left_count = (active & left).bit_count()
+    if left_count < bar or active.bit_count() - left_count < bar + 1:
+        return _pruned(ego, "core", bar)
+    ego.set(n=network.num_vertices)
+    if stats is not None:
+        stats.instances += 1
+        stats.record_reduction(
+            ego_edge_count_from_masks(pos_bits, neg_bits, u, allowed),
+            network.num_edges, active_edge_count_mask(adj, active))
+    found = dichromatic_clique_witness(
+        network, bar, bar + 1, stats=stats, engine="bitset",
+        active_mask=active, trace=tracer, budget=budget)
+    return _dcc_solved(ego, bar, cap, network, found)
+
+
+def dcc_step_np(
+    adjacency: "tuple[Matrix, Matrix]",
+    u: int,
+    allowed: int,
+    bar: int,
+    *,
+    stats: "SearchStats | None" = None,
+    tracer: "Tracer | None" = None,
+    ego: Span = NULL_SPAN,
+    budget: "Budget | None" = None,
+) -> EgoOutcome:
+    """:func:`dcc_step_bits` on the numpy engine's mask matrices."""
+    pos_mat, neg_mat = adjacency
+    allowed_row = npmask.row_from_mask(allowed, pos_mat.shape[0])
+    cap = min(npmask.degree_in_active(pos_mat, u, allowed_row) + 1,
+              npmask.degree_in_active(neg_mat, u, allowed_row))
+    if cap <= bar:
+        return _pruned(ego, "bound", cap)
+    network = dichromatic_network_from_matrix(
+        pos_mat, neg_mat, u, allowed_row)
+    adj = network.adjacency_matrix()
+    left = network.left_row()
+    active = npmask.bicore_active(adj, left, bar, bar + 1,
+                                  network.all_row())
+    left_count = npmask.row_count(active & left)
+    if left_count < bar or npmask.row_count(active) - left_count \
+            < bar + 1:
+        return _pruned(ego, "core", bar)
+    ego.set(n=network.num_vertices)
+    if stats is not None:
+        stats.instances += 1
+        stats.record_reduction(
+            ego_edge_count_from_matrix(pos_mat, neg_mat, u, allowed_row),
+            network.num_edges, npmask.active_edge_count(adj, active))
+    found = dichromatic_clique_witness(
+        network, bar, bar + 1, stats=stats, engine="numpy",
+        active_row=active, trace=tracer, budget=budget)
+    return _dcc_solved(ego, bar, cap, network, found)
+
+
+def dcc_step_set(
+    adjacency: SignedGraph,
+    u: int,
+    allowed: int,
+    bar: int,
+    *,
+    stats: "SearchStats | None" = None,
+    tracer: "Tracer | None" = None,
+    ego: Span = NULL_SPAN,
+    budget: "Budget | None" = None,
+) -> EgoOutcome:
+    """:func:`dcc_step_bits` on the set engine (the reference path)."""
+    pos, neg = _allowed_sides(adjacency, u, allowed)
+    cap = min(len(pos) + 1, len(neg))
+    if cap <= bar:
+        return _pruned(ego, "bound", cap)
+    members = pos | neg
+    network = build_dichromatic_network(adjacency, u, members)
+    active = bicore_active(network, bar, bar + 1,
+                           set(network.vertices()))
+    left_count = sum(1 for v in active if network.is_left[v])
+    if left_count < bar or len(active) - left_count < bar + 1:
+        return _pruned(ego, "core", bar)
+    ego.set(n=network.num_vertices)
+    if stats is not None:
+        stats.instances += 1
+        stats.record_reduction(
+            ego_network_edge_count(adjacency, u, members),
+            network.num_edges, _edges_inside(network, active))
+    found = dichromatic_clique_witness(
+        network, bar, bar + 1, stats=stats, active=active, engine="set",
+        trace=tracer, budget=budget)
+    return _dcc_solved(ego, bar, cap, network, found)
+
+
+#: The MDC step of each engine, by engine name.
+MDC_STEPS: "dict[str, Callable[..., EgoOutcome]]" = {
+    "bitset": mdc_step_bits, "numpy": mdc_step_np, "set": mdc_step_set}
+
+#: The DCC step of each engine, by engine name.
+DCC_STEPS: "dict[str, Callable[..., EgoOutcome]]" = {
+    "bitset": dcc_step_bits, "numpy": dcc_step_np, "set": dcc_step_set}

@@ -57,23 +57,20 @@ rebuild.
 from __future__ import annotations
 
 from ..core.result import EMPTY_RESULT, BalancedClique, SolveResult
-from ..dichromatic.build import build_dichromatic_network
-from ..dichromatic.cores import coloring_upper_bound_active, \
-    k_core_active
-from ..dichromatic.dcc import dichromatic_clique_witness
-from ..dichromatic.mdc import solve_mdc
-from ..kernels import engine_spec, validate_engine
+from ..dichromatic.ego import DCC_STEPS, mdc_step_set, witness_members
+from ..kernels import engine_spec, npmask, validate_engine
 from ..kernels.active import degeneracy_ordering_mask
 from ..obs import current_tracer
 from ..parallel.engine import dynamic_ego_fanout, resolve_workers
-from ..parallel.incumbent import SharedIncumbent
 from ..parallel.tasks import suffix_masks
-from ..parallel.worker import WorkerContext, _dcc_ego_bits, _dcc_ego_np
 from ..resilience.budget import Budget, BudgetExceeded
 from ..signed.graph import POSITIVE, SignedGraph
-from ..unsigned.ordering import HigherRanked
 
 __all__ = ["DynamicSolver", "EgoEntry"]
+
+#: ``(u, certified upper, members or None)`` for one re-solved ego, as
+#: :func:`repro.parallel.worker.run_dynamic_chunk` delivers it.
+_Resolved = tuple[int, int, "list[tuple[int, bool]] | None"]
 
 
 class EgoEntry:
@@ -181,8 +178,6 @@ class DynamicSolver:
                      zip(self._pos_bits, self._neg_bits)]
         full_mask = (1 << n) - 1
         self._order = degeneracy_ordering_mask(adjacency, full_mask)
-        self._rank = {v: position
-                      for position, v in enumerate(self._order)}
         self._allowed = suffix_masks(self._order)
         self._entries = [EgoEntry() for _ in range(n)]
         self._dirty: set[int] = set()
@@ -405,11 +400,20 @@ class DynamicSolver:
                 self._result = result
                 return result
             if self._engine == "set":
-                completed = self._solve_serial_set(
+                outcomes, completed = self._solve_serial_set(
                     queue, best.size, budget)
             else:
-                completed = self._solve_fanout(
+                outcomes, completed = self._solve_fanout(
                     queue, best.size, budget)
+            for u, upper, members in outcomes:
+                entry = self._entries[u]
+                if members is None:
+                    entry.upper = min(entry.upper, upper)
+                    continue
+                entry.witness = BalancedClique.from_anchor(u, members)
+                # The MDC step is exhaustive above its floor, so a
+                # delivered witness pins val(u) exactly.
+                entry.lower = entry.upper = upper
             best = self._best_witness()
             result = SolveResult.capture(best, budget)
             span.set(size=best.size, resolved=len(queue),
@@ -417,14 +421,15 @@ class DynamicSolver:
             self._result = result
             return result
 
-    def _solve_fanout(self, queue: list[int], floor: int,
-                      budget: Budget | None) -> bool:
+    def _solve_fanout(
+        self, queue: list[int], floor: int, budget: Budget | None,
+    ) -> "tuple[list[_Resolved], bool]":
         """Re-solve ``queue`` through the parallel dispatch machinery.
 
         Runs in-process below the pool thresholds (including always at
         ``workers == 1``), so bitset and numpy share one code path
-        with the pooled case.  Returns whether every queued ego was
-        processed; outcomes are committed as delivered either way.
+        with the pooled case.  Returns the delivered ``(u, upper,
+        members)`` outcomes and whether every queued ego was processed.
         """
         work_estimate = 0
         for u in queue:
@@ -432,103 +437,51 @@ class DynamicSolver:
             cost = (self._pos_bits[u] & allowed).bit_count() + \
                 (self._neg_bits[u] & allowed).bit_count()
             work_estimate += cost * cost
-        outcomes, completed = dynamic_ego_fanout(
+        return dynamic_ego_fanout(
             self._pos_bits, self._neg_bits, self._n, self._tau,
             floor, queue, self._order, self._workers,
             work_estimate=work_estimate, use_core=self._use_core,
             use_coloring=self._use_coloring, budget=budget,
             engine=self._engine)
-        for u, upper, members in outcomes:
-            entry = self._entries[u]
-            if members is None:
-                entry.upper = min(entry.upper, upper)
-                continue
-            left = {u}
-            right: set[int] = set()
-            for vertex, is_left in members:
-                (left if is_left else right).add(vertex)
-            witness = BalancedClique.from_sides(left, right)
-            entry.witness = witness
-            # solve_mdc is exhaustive above its floor, so a delivered
-            # witness pins val(u) exactly.
-            entry.lower = entry.upper = witness.size
-        return completed
 
-    def _solve_serial_set(self, queue: list[int], floor: int,
-                          budget: Budget | None) -> bool:
+    def _solve_serial_set(
+        self, queue: list[int], floor: int, budget: Budget | None,
+    ) -> "tuple[list[_Resolved], bool]":
         """Serial set-engine re-solve (the reference path).
 
-        Mirrors the MBC* serial sweep body, but commits a certified
-        upper bound per ego instead of only tracking the incumbent.
-        Returns whether every queued ego was processed.
+        Runs the MBC* serial sweep's ego step, raising the bar as
+        witnesses arrive, and returns :meth:`_solve_fanout`'s
+        ``(outcomes, completed)`` pair.  A budget stop mid-instance
+        certifies nothing for that ego: it keeps its cheap bound and
+        is retried next call.
         """
-        graph = self._graph
-        tau = self._tau
         tracer = current_tracer()
+        outcomes: "list[_Resolved]" = []
         best_size = floor
         for u in queue:
             if budget is not None:
                 try:
                     budget.check()
                 except BudgetExceeded:
-                    return False
-            entry = self._entries[u]
-            required = max(best_size + 1, 2 * tau)
-            if entry.upper < required:
+                    return outcomes, False
+            required = max(best_size + 1, 2 * self._tau)
+            if self._entries[u].upper < required:
                 continue
             with tracer.span("ego", v=u) as ego:
-                allowed = HigherRanked(self._rank, self._rank[u])
-                network = build_dichromatic_network(graph, u, allowed)
-                if network.num_vertices + 1 < required:
-                    entry.upper = min(
-                        entry.upper, network.num_vertices + 1)
-                    ego.set(pruned="size")
-                    continue
-                active = set(network.vertices())
-                if self._use_core:
-                    active = k_core_active(
-                        network, required - 2, active)
-                if len(active) + 1 < required:
-                    # A clique of size required - 1 can live outside
-                    # the (required - 2)-core, so the prune certifies
-                    # required - 1 and nothing tighter.
-                    entry.upper = min(entry.upper, required - 1)
-                    ego.set(pruned="core")
-                    continue
-                if self._use_coloring:
-                    bound = coloring_upper_bound_active(
-                        network, active)
-                    if bound < required - 1:
-                        entry.upper = min(entry.upper, required - 1)
-                        ego.set(pruned="color")
-                        continue
                 try:
-                    found = solve_mdc(
-                        network, tau - 1, tau,
-                        must_exceed=required - 2, active=active,
-                        use_coloring=self._use_coloring,
-                        use_core=self._use_core, engine="set",
-                        budget=budget)
+                    _pruned, upper, network, found = mdc_step_set(
+                        self._graph, u, self._allowed[u], self._tau,
+                        required, use_core=self._use_core,
+                        use_coloring=self._use_coloring, tracer=tracer,
+                        ego=ego, budget=budget)
                 except BudgetExceeded:
-                    # Mid-instance truncation certifies nothing for
-                    # u: keep the cheap bound, retry next call.
-                    return False
-                ego.set(found=found is not None)
-                if found is None:
-                    entry.upper = min(entry.upper, required - 1)
-                    continue
-                left = {u}
-                right: set[int] = set()
-                for vertex in found:
-                    origin = network.origin[vertex]
-                    (left if network.is_left[vertex]
-                     else right).add(origin)
-                witness = BalancedClique.from_sides(left, right)
-                entry.witness = witness
-                entry.lower = entry.upper = witness.size
-                if witness.size > best_size:
-                    best_size = witness.size
-        return True
+                    return outcomes, False
+            if found is None or network is None:
+                outcomes.append((u, upper, None))
+                continue
+            outcomes.append((u, upper, witness_members(network, found)))
+            best_size = max(best_size, upper)
+        return outcomes, True
 
     # -- beta ----------------------------------------------------------
 
@@ -571,9 +524,10 @@ class DynamicSolver:
             for entry in gamma:
                 if entry.lower > bar:
                     bar = entry.lower
-            probe_ctx = self._probe_context()
             candidates = [u for u in range(self._n)
                           if gamma[u].upper > bar]
+            dcc_step = DCC_STEPS[self._engine]
+            adjacency = self._ego_adjacency() if candidates else None
             questions = 0
             truncated = False
             while candidates:
@@ -589,18 +543,21 @@ class DynamicSolver:
                            key=lambda u: (gamma[u].upper, -u))
                 questions += 1
                 try:
-                    witness = self._gamma_question(
-                        probe_ctx, pick, bar, budget)
+                    with tracer.span("ego", v=pick, bar=bar) as ego:
+                        _pruned, upper, network, found = dcc_step(
+                            adjacency, pick, self._allowed[pick], bar,
+                            tracer=tracer, ego=ego, budget=budget)
                 except BudgetExceeded:
                     truncated = True
                     break
                 entry = gamma[pick]
-                if witness is None:
+                if found is None or network is None:
                     # No anchored clique with polarization > bar.
-                    entry.upper = bar
+                    entry.upper = min(entry.upper, upper)
                 else:
-                    entry.witness = witness
-                    entry.lower = witness.polarization
+                    entry.witness = BalancedClique.from_anchor(
+                        pick, witness_members(network, found))
+                    entry.lower = entry.witness.polarization
                     bar = max(bar, entry.lower)
                 candidates = [u for u in candidates
                               if gamma[u].upper > bar]
@@ -629,57 +586,13 @@ class DynamicSolver:
                     return witness
         return EMPTY_RESULT
 
-    def _probe_context(self) -> WorkerContext | None:
-        """In-process worker context for the mask-engine DCC probes.
-
-        Built per ``beta()`` call: the suffix table is one O(n) pass,
-        and the numpy path's matrices must reflect the current bits.
-        The set engine probes the live graph directly and needs none.
-        """
+    def _ego_adjacency(self) -> object:
+        """The live graph in this solver's engine form for the ego
+        steps of :mod:`repro.dichromatic.ego` (numpy matrices are
+        rebuilt from the solver's bits, once per ``beta()`` call)."""
         if self._engine == "set":
-            return None
-        return WorkerContext(
-            self._pos_bits, self._neg_bits, self._n, self._tau,
-            self._order, SharedIncumbent(0), engine=self._engine)
-
-    def _gamma_question(
-        self,
-        probe_ctx: WorkerContext | None,
-        u: int,
-        bar: int,
-        budget: Budget | None,
-    ) -> BalancedClique | None:
-        """Does an anchored clique at ``u`` beat polarization ``bar``?
-
-        Asks DCC for ``bar`` same-side and ``bar + 1`` opposite-side
-        candidates in ``g_u``; with ``u`` added, a witness has
-        polarization at least ``bar + 1``.  Failure certifies that no
-        anchored clique exceeds ``bar`` (the contrapositive), which
-        the caller caches as ``upper = bar``.
-        """
-        tracer = current_tracer()
-        if probe_ctx is None:
-            allowed_u = self._allowed[u]
-            if ((self._pos_bits[u] & allowed_u).bit_count() < bar
-                    or (self._neg_bits[u] & allowed_u).bit_count()
-                    < bar + 1):
-                return None
-            allowed = HigherRanked(self._rank, self._rank[u])
-            network = build_dichromatic_network(
-                self._graph, u, allowed)
-            found = dichromatic_clique_witness(
-                network, bar, bar + 1, engine="set", budget=budget)
-        else:
-            probe = _dcc_ego_np if self._engine == "numpy" \
-                else _dcc_ego_bits
-            with tracer.span("ego", v=u) as ego:
-                _pruned, network, found = probe(
-                    probe_ctx, u, bar, None, tracer, ego)
-        if found is None or network is None:
-            return None
-        left = {u}
-        right: set[int] = set()
-        for vertex in found:
-            origin = network.origin[vertex]
-            (left if network.is_left[vertex] else right).add(origin)
-        return BalancedClique.from_sides(left, right)
+            return self._graph
+        if self._engine == "numpy":
+            return (npmask.matrix_from_masks(self._pos_bits, self._n),
+                    npmask.matrix_from_masks(self._neg_bits, self._n))
+        return self._pos_bits, self._neg_bits

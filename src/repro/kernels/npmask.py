@@ -76,7 +76,6 @@ __all__ = [
     "matrix_from_bytes",
     "dichromatic_adjacency",
     "matrix_edge_count",
-    "suffix_rows",
     "degrees_in_active",
     "subtract_members",
     "argmin_active",
@@ -323,18 +322,6 @@ def dichromatic_adjacency(
 def matrix_edge_count(mat: "Matrix") -> int:
     """Edges of the graph whose adjacency matrix this is."""
     return int(popcount_words(mat).sum()) // 2
-
-
-def suffix_rows(order: Sequence[int], n: int) -> "Matrix":
-    """Higher-ranked rows: ``rows[u]`` holds the vertices after ``u``
-    in ``order`` (the array analogue of
-    :func:`repro.parallel.tasks.suffix_masks`)."""
-    rows = np.zeros((n, words_for(n)), dtype=np.uint64)
-    accumulated = np.zeros(words_for(n), dtype=np.uint64)
-    for u in reversed(order):
-        rows[u] = accumulated
-        set_bit(accumulated, u)
-    return rows
 
 
 # ----------------------------------------------------------------------

@@ -208,18 +208,7 @@ def mbc_ego_fanout(
     if best_witness is None:
         return best
     u, members = best_witness
-    return _witness_clique(u, members)
-
-
-def _witness_clique(u: int,
-                    members: "list[tuple[int, bool]]") -> BalancedClique:
-    """The clique of an anchor ``u`` plus its ``(vertex, is_left)``
-    members, as delivered by a chunk runner."""
-    left = {u}
-    right: set[int] = set()
-    for vertex, is_left in members:
-        (left if is_left else right).add(vertex)
-    return BalancedClique.from_sides(left, right)
+    return BalancedClique.from_anchor(u, members)
 
 
 def dynamic_ego_fanout(
@@ -431,7 +420,7 @@ def pf_round_fanout(
                 (s for s in round_successes if s[1] + 1 == new_tau),
                 key=lambda s: position[s[0]])
             u, _bar, members = top
-            witness = _witness_clique(u, members)
+            witness = BalancedClique.from_anchor(u, members)
             tau_star = new_tau
             incumbent.improve(tau_star)
             survivors = {s[0] for s in round_successes}

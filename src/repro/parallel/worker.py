@@ -17,14 +17,15 @@ Chunks then carry only vertex ids; the per-task allowed masks are
 rebuilt worker-side from the shipped order
 (:func:`repro.parallel.tasks.suffix_masks`).
 
-The per-task body of :func:`run_mdc_chunk` mirrors the serial bitset
-sweep of :func:`repro.core.mbc_star.mbc_star` line for line (cheap
-candidate bound, network build, core reduction, colouring bound, MDC)
-with one difference: the bar is read from the shared incumbent at task
-start, so any worker's improvement tightens every later task in every
-process.  :func:`run_dcc_chunk` is the PF* analogue: one DCC
-feasibility question per vertex at the round's (or the live shared)
-``tau*`` bar.
+The per-task bodies are the ego steps of :mod:`repro.dichromatic.ego`,
+the same functions the serial MBC*/PF* sweeps call; the runners below
+only supply the bar and aggregate.  :func:`run_mdc_chunk` reads the
+bar from the shared incumbent at task start, so any worker's
+improvement tightens every later task in every process;
+:func:`run_dynamic_chunk` runs the same MDC step but reports every
+ego's certified bound; :func:`run_dcc_chunk` is the PF* analogue: one
+DCC feasibility question per vertex at the round's (or the live
+shared) ``tau*`` bar.
 """
 
 from __future__ import annotations
@@ -32,27 +33,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..core.stats import SearchStats
-from ..dichromatic.build import dichromatic_network_from_masks, \
-    dichromatic_network_from_matrix, ego_edge_count_from_masks, \
-    ego_edge_count_from_matrix
-from ..dichromatic.dcc import dichromatic_clique_witness
-from ..dichromatic.mdc import solve_mdc
+from ..dichromatic.ego import DCC_STEPS, MDC_STEPS, witness_members
 from ..kernels import npmask
-from ..kernels.active import (
-    active_edge_count_mask,
-    bicore_active_mask,
-    coloring_upper_bound_active_mask,
-    k_core_active_mask,
-)
 from ..kernels.bitset import masks_from_bytes, masks_to_bytes
-from ..obs import Span, TraceBuffer, Tracer, get_tracer, install_tracer
+from ..obs import TraceBuffer, get_tracer, install_tracer
 from ..resilience.faults import fire_faults
 from .incumbent import SharedIncumbent
 from .tasks import suffix_masks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..dichromatic.graph import DichromaticGraph
-    from ..kernels.npmask import Matrix, Row
+    from ..kernels.npmask import Matrix
 
 __all__ = [
     "WorkerContext",
@@ -143,7 +133,6 @@ class WorkerContext:
         self._pos_mat = pos_mat
         self._neg_mat = neg_mat
         self._allowed: dict[int, int] | None = None
-        self._allowed_rows: "Matrix | None" = None
 
     def allowed(self, u: int) -> int:
         """Higher-ranked mask of ``u``, from the lazily-built suffix
@@ -152,12 +141,12 @@ class WorkerContext:
             self._allowed = suffix_masks(self.order)
         return self._allowed[u]
 
-    def allowed_row(self, u: int) -> "Row":
-        """Numpy-engine analogue of :meth:`allowed` — one lazily-built
-        ``(n, words)`` suffix matrix per worker per solve."""
-        if self._allowed_rows is None:
-            self._allowed_rows = npmask.suffix_rows(self.order, self.n)
-        return self._allowed_rows[u]
+    def adjacency(self) -> object:
+        """The graph in this context's engine form, as the ego steps of
+        :mod:`repro.dichromatic.ego` take it."""
+        if self.engine == "numpy":
+            return self.pos_matrix(), self.neg_matrix()
+        return self.pos_bits, self.neg_bits
 
     def pos_matrix(self) -> "Matrix":
         """Positive adjacency as a mask matrix (built once per worker
@@ -247,6 +236,18 @@ def run_mdc_chunk(chunk: list[int]) -> MdcChunkResult:
     and ``examined`` / ``skipped`` count processed tasks and pre-bound
     skips for the dispatch report.
     """
+    outcomes, stats, buffer, examined, skipped = _mdc_outcomes(chunk)
+    # The first of the largest, as the chunk met them.
+    witness = max(((u, members) for u, _upper, members in outcomes
+                   if members is not None),
+                  key=lambda found: len(found[1]), default=None)
+    return witness, stats, buffer, examined, skipped
+
+
+def _mdc_outcomes(chunk: list[int],
+                  **chunk_attrs: object) -> DynamicChunkResult:
+    """The MDC ego step for every vertex of ``chunk``, each at the live
+    bar, as ``(u, certified upper, members-or-None)`` outcomes."""
     ctx = _CTX
     assert ctx is not None, "worker context not installed"
     tau = ctx.tau
@@ -256,169 +257,34 @@ def run_mdc_chunk(chunk: list[int]) -> MdcChunkResult:
     # Ambient for the chunk's duration, so kernel-layer spans (mask
     # builds inside the network constructors) land in the buffer too.
     previous = install_tracer(tracer) if ctx.want_trace else None
-    ego_solver = _mdc_ego_np if ctx.engine == "numpy" else _mdc_ego_bits
-    best_witness = None
-    best_size = 0
+    mdc_step = MDC_STEPS[ctx.engine]
+    adjacency = ctx.adjacency()
+    outcomes: "list[tuple[int, int, list[tuple[int, bool]] | None]]" = []
     skipped = 0
 
-    with tracer.span("chunk", size=len(chunk)):
+    with tracer.span("chunk", size=len(chunk), **chunk_attrs):
         for u in chunk:
             with tracer.span("ego", v=u) as ego:
                 # The bar, refreshed once per task from the shared
                 # register: a stale read only loosens the bound, never
                 # breaks correctness.
-                required = max(incumbent.get() + 1, 2 * tau)
-                pruned, _upper, network, found = ego_solver(
-                    ctx, u, required, stats, tracer, ego)
-                if pruned is not None:
-                    if pruned == "bound":
-                        skipped += 1
-                    ego.set(pruned=pruned)
-                    continue
-                ego.set(found=found is not None)
-                if found is None or network is None:
-                    continue
-                size = len(found) + 1
-                incumbent.improve(size)
-                if size > best_size:
-                    best_size = size
-                    best_witness = (u, [
-                        (network.origin[v], network.is_left[v])
-                        for v in found])
+                pruned, upper, network, found = mdc_step(
+                    adjacency, u, ctx.allowed(u), tau,
+                    max(incumbent.get() + 1, 2 * tau),
+                    use_core=ctx.use_core, use_coloring=ctx.use_coloring,
+                    stats=stats, tracer=tracer, ego=ego)
+            if pruned == "bound":
+                skipped += 1
+            if found is None or network is None:
+                outcomes.append((u, upper, None))
+                continue
+            incumbent.improve(upper)
+            outcomes.append((u, upper, witness_members(network, found)))
 
     if ctx.want_trace:
         install_tracer(previous)
     buffer = tracer.export_buffer() if ctx.want_trace else None
-    return best_witness, stats, buffer, len(chunk), skipped
-
-
-def _mdc_ego_bits(
-    ctx: WorkerContext,
-    u: int,
-    required: int,
-    stats: "SearchStats | None",
-    tracer: Tracer,
-    ego: Span,
-) -> "tuple[str | None, int, DichromaticGraph | None, set[int] | None]":
-    """One bitset-engine MDC ego task: prune chain + exact solve.
-
-    Returns ``(pruned reason, upper, network, witness)``; exactly one
-    of the reason and the network is ``None``, and the witness is
-    ``None`` unless the solve improved on ``required``.  ``upper`` is a
-    *certified* upper bound on the size of any tau-satisfying balanced
-    clique anchored at ``u`` — an unconditional fact about the ego
-    instance (candidate counts, network size, or the exhaustiveness of
-    the pruned/finished search below ``required``), so it stays valid
-    however ``required`` was derived, even from an incumbent
-    publication later lost to a pool failure.  Lower bounds are the
-    opposite: only a delivered witness certifies one.
-    """
-    pos_bits, neg_bits, tau = ctx.pos_bits, ctx.neg_bits, ctx.tau
-    assert pos_bits is not None and neg_bits is not None
-    allowed = ctx.allowed(u)
-    pos_count = (pos_bits[u] & allowed).bit_count()
-    neg_count = (neg_bits[u] & allowed).bit_count()
-    if pos_count < tau - 1 or neg_count < tau:
-        # No anchored clique can satisfy tau at all.
-        return "bound", 0, None, None
-    if pos_count + neg_count + 1 < required:
-        return "bound", pos_count + neg_count + 1, None, None
-    network = dichromatic_network_from_masks(
-        pos_bits, neg_bits, u, allowed)
-    if network.num_vertices + 1 < required:
-        return "size", network.num_vertices + 1, None, None
-    adj_bits = network.adjacency_bits()
-    active_mask = network.all_bits()
-    if ctx.use_core:
-        active_mask = k_core_active_mask(
-            adj_bits, required - 2, active_mask)
-    # Core/colour prunes certify only "nothing >= required": an
-    # anchored clique of size required - 1 may live outside the
-    # (required - 2)-core, so the bound cannot be tightened further.
-    if active_mask.bit_count() + 1 < required:
-        return "core", required - 1, None, None
-    if ctx.use_coloring:
-        bound = coloring_upper_bound_active_mask(adj_bits, active_mask)
-        if bound < required - 1:
-            return "color", required - 1, None, None
-    ego.set(n=network.num_vertices, reduced=active_mask.bit_count())
-    if stats is not None:
-        stats.instances += 1
-        ego_edges = ego_edge_count_from_masks(
-            pos_bits, neg_bits, u, allowed)
-        reduced_edges = active_edge_count_mask(adj_bits, active_mask)
-        stats.record_reduction(
-            ego_edges, network.num_edges, reduced_edges)
-    found = solve_mdc(
-        network, tau - 1, tau,
-        must_exceed=required - 2,
-        stats=stats,
-        engine="bitset",
-        use_coloring=ctx.use_coloring,
-        use_core=ctx.use_core,
-        active_mask=active_mask,
-        trace=tracer)
-    # Exhaustive above the floor: a witness is the exact anchored
-    # optimum; no witness proves nothing >= required exists.
-    upper = len(found) + 1 if found is not None else required - 1
-    return None, upper, network, found
-
-
-def _mdc_ego_np(
-    ctx: WorkerContext,
-    u: int,
-    required: int,
-    stats: "SearchStats | None",
-    tracer: Tracer,
-    ego: Span,
-) -> "tuple[str | None, int, DichromaticGraph | None, set[int] | None]":
-    """Numpy-engine mirror of :func:`_mdc_ego_bits` — same prune chain
-    over the mask-matrix kernels, same solve at ``engine="numpy"``,
-    same certified-upper-bound contract."""
-    pos_mat, neg_mat = ctx.pos_matrix(), ctx.neg_matrix()
-    tau = ctx.tau
-    allowed = ctx.allowed_row(u)
-    pos_count = npmask.degree_in_active(pos_mat, u, allowed)
-    neg_count = npmask.degree_in_active(neg_mat, u, allowed)
-    if pos_count < tau - 1 or neg_count < tau:
-        return "bound", 0, None, None
-    if pos_count + neg_count + 1 < required:
-        return "bound", pos_count + neg_count + 1, None, None
-    network = dichromatic_network_from_matrix(
-        pos_mat, neg_mat, u, allowed)
-    if network.num_vertices + 1 < required:
-        return "size", network.num_vertices + 1, None, None
-    adj_mat = network.adjacency_matrix()
-    active_row = network.all_row()
-    if ctx.use_core:
-        active_row = npmask.k_core_active(
-            adj_mat, required - 2, active_row)
-    reduced_count = npmask.row_count(active_row)
-    if reduced_count + 1 < required:
-        return "core", required - 1, None, None
-    if ctx.use_coloring:
-        bound = npmask.coloring_upper_bound_active(adj_mat, active_row)
-        if bound < required - 1:
-            return "color", required - 1, None, None
-    ego.set(n=network.num_vertices, reduced=reduced_count)
-    if stats is not None:
-        stats.instances += 1
-        ego_edges = ego_edge_count_from_matrix(
-            pos_mat, neg_mat, u, allowed)
-        reduced_edges = npmask.active_edge_count(adj_mat, active_row)
-        stats.record_reduction(
-            ego_edges, network.num_edges, reduced_edges)
-    found = solve_mdc(
-        network, tau - 1, tau,
-        must_exceed=required - 2,
-        stats=stats,
-        engine="numpy",
-        use_coloring=ctx.use_coloring,
-        use_core=ctx.use_core,
-        active_row=active_row,
-        trace=tracer)
-    upper = len(found) + 1 if found is not None else required - 1
-    return None, upper, network, found
+    return outcomes, stats, buffer, len(chunk), skipped
 
 
 def run_mdc_chunk_task(
@@ -450,53 +316,18 @@ def run_dynamic_chunk(chunk: list[int]) -> DynamicChunkResult:
     """Re-solve the dirty ego instances of ``chunk`` for the dynamic
     solver, reporting a certified bound per ego.
 
-    The per-ego body is :func:`run_mdc_chunk`'s, but the aggregation
-    differs: instead of keeping only the chunk's best witness, every
-    examined ego yields an ``(u, upper, members)`` outcome so the
-    parent :class:`repro.dynamic.DynamicSolver` can commit it to its
+    The per-ego body is :func:`run_mdc_chunk`'s, but instead of
+    keeping only the chunk's best witness, every examined ego yields an
+    ``(u, upper, members)`` outcome so the parent
+    :class:`repro.dynamic.DynamicSolver` can commit it to its
     per-vertex cache.  ``upper`` is unconditionally certified (see
-    :func:`_mdc_ego_bits`), so outcomes stay committable even when the
-    dispatch is later truncated by a budget or survives a pool
+    :mod:`repro.dichromatic.ego`), so outcomes stay committable even
+    when the dispatch is later truncated by a budget or survives a pool
     failure; ``members`` (translated to graph ids worker-side) is
     present exactly when the solve found the anchored optimum, which
     the parent records as ``lower = upper``.
     """
-    ctx = _CTX
-    assert ctx is not None, "worker context not installed"
-    tau = ctx.tau
-    incumbent = ctx.incumbent
-    stats = SearchStats() if ctx.want_stats else None
-    tracer = get_tracer(ctx.want_trace)
-    previous = install_tracer(tracer) if ctx.want_trace else None
-    ego_solver = _mdc_ego_np if ctx.engine == "numpy" else _mdc_ego_bits
-    outcomes: "list[tuple[int, int, list[tuple[int, bool]] | None]]" = []
-    skipped = 0
-
-    with tracer.span("chunk", size=len(chunk), dynamic=True):
-        for u in chunk:
-            with tracer.span("ego", v=u) as ego:
-                required = max(incumbent.get() + 1, 2 * tau)
-                pruned, upper, network, found = ego_solver(
-                    ctx, u, required, stats, tracer, ego)
-                if pruned is not None:
-                    if pruned == "bound":
-                        skipped += 1
-                    ego.set(pruned=pruned)
-                    outcomes.append((u, upper, None))
-                    continue
-                ego.set(found=found is not None)
-                if found is None or network is None:
-                    outcomes.append((u, upper, None))
-                    continue
-                incumbent.improve(len(found) + 1)
-                outcomes.append((u, upper, [
-                    (network.origin[v], network.is_left[v])
-                    for v in found]))
-
-    if ctx.want_trace:
-        install_tracer(previous)
-    buffer = tracer.export_buffer() if ctx.want_trace else None
-    return outcomes, stats, buffer, len(chunk), skipped
+    return _mdc_outcomes(chunk, dynamic=True)
 
 
 def run_dynamic_chunk_task(
@@ -527,111 +358,25 @@ def run_dcc_chunk(args: tuple[int, list[int]]) -> DccChunkResult:
     stats = SearchStats() if ctx.want_stats else None
     tracer = get_tracer(ctx.want_trace)
     previous = install_tracer(tracer) if ctx.want_trace else None
-    ego_solver = _dcc_ego_np if ctx.engine == "numpy" else _dcc_ego_bits
+    dcc_step = DCC_STEPS[ctx.engine]
+    adjacency = ctx.adjacency()
     successes = []
 
     with tracer.span("chunk", size=len(chunk), bar=bar):
         for u in chunk:
-            with tracer.span("ego", v=u) as ego:
-                bar_used = max(bar, incumbent.get())
-                pruned, network, found = ego_solver(
-                    ctx, u, bar_used, stats, tracer, ego)
-                if pruned is not None:
-                    ego.set(pruned=pruned)
-                    continue
-                ego.set(found=found is not None)
-                if found is None or network is None:
-                    continue
-                incumbent.improve(bar_used + 1)
-                successes.append((u, bar_used, [
-                    (network.origin[v], network.is_left[v])
-                    for v in found]))
+            bar_used = max(bar, incumbent.get())
+            with tracer.span("ego", v=u, bar=bar_used) as ego:
+                _pruned, _upper, network, found = dcc_step(
+                    adjacency, u, ctx.allowed(u), bar_used, stats=stats,
+                    tracer=tracer, ego=ego)
+            if found is None or network is None:
+                continue
+            incumbent.improve(bar_used + 1)
+            successes.append(
+                (u, bar_used, witness_members(network, found)))
 
     if ctx.want_trace:
         install_tracer(previous)
     buffer = tracer.export_buffer() if ctx.want_trace else None
     return successes, stats, buffer, len(chunk)
 
-
-def _dcc_ego_bits(
-    ctx: WorkerContext,
-    u: int,
-    bar_used: int,
-    stats: "SearchStats | None",
-    tracer: Tracer,
-    ego: Span,
-) -> "tuple[str | None, DichromaticGraph | None, set[int] | None]":
-    """One bitset-engine DCC ego task: candidate bound, bicore, check.
-
-    Same contract as :func:`_mdc_ego_bits`.
-    """
-    pos_bits, neg_bits = ctx.pos_bits, ctx.neg_bits
-    assert pos_bits is not None and neg_bits is not None
-    allowed = ctx.allowed(u)
-    # Cheap candidate bound first: the witness needs bar_used positive
-    # and bar_used + 1 negative candidates besides u.
-    if ((pos_bits[u] & allowed).bit_count() < bar_used
-            or (neg_bits[u] & allowed).bit_count() < bar_used + 1):
-        return "bound", None, None
-    network = dichromatic_network_from_masks(
-        pos_bits, neg_bits, u, allowed)
-    adj_bits = network.adjacency_bits()
-    left_bits = network.left_bits()
-    active_mask = bicore_active_mask(
-        adj_bits, left_bits, bar_used, bar_used + 1,
-        network.all_bits())
-    left_count = (active_mask & left_bits).bit_count()
-    right_count = active_mask.bit_count() - left_count
-    if left_count < bar_used or right_count < bar_used + 1:
-        return "core", None, None
-    ego.set(n=network.num_vertices)
-    if stats is not None:
-        stats.instances += 1
-        ego_edges = ego_edge_count_from_masks(
-            pos_bits, neg_bits, u, allowed)
-        reduced = active_edge_count_mask(adj_bits, active_mask)
-        stats.record_reduction(ego_edges, network.num_edges, reduced)
-    found = dichromatic_clique_witness(
-        network, bar_used, bar_used + 1, stats=stats,
-        engine="bitset", active_mask=active_mask, trace=tracer)
-    return None, network, found
-
-
-def _dcc_ego_np(
-    ctx: WorkerContext,
-    u: int,
-    bar_used: int,
-    stats: "SearchStats | None",
-    tracer: Tracer,
-    ego: Span,
-) -> "tuple[str | None, DichromaticGraph | None, set[int] | None]":
-    """Numpy-engine mirror of :func:`_dcc_ego_bits`."""
-    pos_mat, neg_mat = ctx.pos_matrix(), ctx.neg_matrix()
-    allowed = ctx.allowed_row(u)
-    # Cheap candidate bound first: the witness needs bar_used positive
-    # and bar_used + 1 negative candidates besides u.
-    if (npmask.degree_in_active(pos_mat, u, allowed) < bar_used
-            or npmask.degree_in_active(neg_mat, u, allowed)
-            < bar_used + 1):
-        return "bound", None, None
-    network = dichromatic_network_from_matrix(
-        pos_mat, neg_mat, u, allowed)
-    adj_mat = network.adjacency_matrix()
-    left_row = network.left_row()
-    active_row = npmask.bicore_active(
-        adj_mat, left_row, bar_used, bar_used + 1, network.all_row())
-    left_count = npmask.row_count(active_row & left_row)
-    right_count = npmask.row_count(active_row) - left_count
-    if left_count < bar_used or right_count < bar_used + 1:
-        return "core", None, None
-    ego.set(n=network.num_vertices)
-    if stats is not None:
-        stats.instances += 1
-        ego_edges = ego_edge_count_from_matrix(
-            pos_mat, neg_mat, u, allowed)
-        reduced = npmask.active_edge_count(adj_mat, active_row)
-        stats.record_reduction(ego_edges, network.num_edges, reduced)
-    found = dichromatic_clique_witness(
-        network, bar_used, bar_used + 1, stats=stats,
-        engine="numpy", active_row=active_row, trace=tracer)
-    return None, network, found

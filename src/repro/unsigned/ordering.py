@@ -11,27 +11,7 @@ from __future__ import annotations
 
 from .graph import UnsignedGraph
 
-__all__ = ["degeneracy_ordering", "rank_of_ordering", "HigherRanked"]
-
-
-class HigherRanked:
-    """Membership view over vertices ranked above a threshold.
-
-    MBC* and PF* both restrict each ego network to the neighbours that
-    appear *later* in the processing order; this view answers that
-    membership question without materializing the suffix set.  Vertices
-    absent from ``rank`` are never members.
-    """
-
-    __slots__ = ("_rank", "_threshold")
-
-    def __init__(self, rank: dict[int, int], threshold: int) -> None:
-        self._rank = rank
-        self._threshold = threshold
-
-    def __contains__(self, v: int) -> bool:
-        position = self._rank.get(v)
-        return position is not None and position > self._threshold
+__all__ = ["degeneracy_ordering", "rank_of_ordering"]
 
 
 def degeneracy_ordering(

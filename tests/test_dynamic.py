@@ -258,6 +258,20 @@ class TestBeta:
                 # A real balanced clique of the live graph, or raise.
                 BalancedClique.from_vertices(graph, witness.vertices)
 
+    def test_set_engine_beta_traces_one_ego_per_question(self):
+        graph = random_graph(17)
+        solver = DynamicSolver(graph, tau=1, engine="set")
+        tracer = get_tracer(True)
+        previous = install_tracer(tracer)
+        try:
+            beta = solver.beta()
+        finally:
+            install_tracer(previous)
+        assert beta == pf_star(graph)
+        egos = [r for r in tracer.records if r["name"] == "ego"]
+        questions = tracer.counters_snapshot()["dynamic.gamma_questions"]
+        assert questions == len(egos) > 0
+
     def test_truncated_beta_witness_certifies_the_bar(self):
         graph = random_graph(19)
         solver = DynamicSolver(graph, tau=1)

@@ -5,7 +5,9 @@
 ``pf_star(G, return_witness=True)`` pair, both on the default engine.
 A serial solve must reproduce them exactly — size, beta *and* the
 sorted sides — so a preprocessing change that moves a tie-break shows
-up here rather than as a silent witness drift.  Parallel fan-outs pick
+up here rather than as a silent witness drift.  The serial numpy engine
+runs the same ego steps on mask matrices and must reproduce the same
+witnesses.  Parallel fan-outs pick
 their witness by arrival order, so for ``parallel=2`` only the size and
 beta are pinned.
 
@@ -25,6 +27,8 @@ from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_star
 from repro.datasets.registry import dataset_names, load
 
+from .conftest import requires_numpy
+
 GOLDEN_PATH = Path(__file__).with_name("golden_witnesses.json")
 TAU = 3
 SCALE = 1.0
@@ -37,9 +41,10 @@ def graphs():
     return {name: load(name, scale=SCALE) for name in dataset_names()}
 
 
-def _answers(graph, parallel: int = 0) -> dict:
-    clique = mbc_star(graph, TAU, parallel=parallel)
-    beta, witness = pf_star(graph, return_witness=True, parallel=parallel)
+def _answers(graph, parallel: int = 0, engine: str = "bitset") -> dict:
+    clique = mbc_star(graph, TAU, parallel=parallel, engine=engine)
+    beta, witness = pf_star(graph, return_witness=True, parallel=parallel,
+                            engine=engine)
     return {
         "mbc": {"size": clique.size, "left": sorted(clique.left),
                 "right": sorted(clique.right)},
@@ -55,6 +60,12 @@ def test_fixture_covers_every_dataset():
 @pytest.mark.parametrize("name", dataset_names())
 def test_serial_witnesses_exact(graphs, name):
     assert _answers(graphs[name]) == GOLDEN[name]
+
+
+@requires_numpy
+@pytest.mark.parametrize("name", dataset_names())
+def test_numpy_serial_witnesses_exact(graphs, name):
+    assert _answers(graphs[name], engine="numpy") == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", dataset_names())
