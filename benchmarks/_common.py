@@ -13,10 +13,8 @@ evaluation (Section VI).  Conventions:
   machine-independent effort metric — at Python scale the wall-clock
   ratios between algorithms are compressed, while node ratios retain
   the paper's orders of magnitude (see EXPERIMENTS.md);
-* ``REPRO_ENGINE`` selects the adjacency engine (``bitset`` default,
-  ``set`` for the original representation) for the engine-aware
-  solvers, so ``REPRO_ENGINE=set python benchmarks/...`` reproduces
-  pre-kernel timings;
+* solvers run on their default engine, as the CLI does; compare
+  engines through the library's ``engine=`` argument;
 * ``REPRO_TRACE=trace.jsonl`` installs an ambient :mod:`repro.obs`
   tracer for the whole benchmark process and writes the merged span
   stream to the named file at exit (``docs/OBSERVABILITY.md``), so any
@@ -36,9 +34,6 @@ from repro.obs import get_tracer, install_tracer, write_jsonl
 from repro.signed.graph import SignedGraph
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-#: Adjacency engine for the engine-aware solvers (MBC*, PF*, gMBC*).
-BENCH_ENGINE = os.environ.get("REPRO_ENGINE", "bitset")
 
 #: All 14 stand-ins, Table I order.
 ALL_DATASETS = dataset_names()

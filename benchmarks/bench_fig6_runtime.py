@@ -20,11 +20,11 @@ from repro.core.mbc_star import mbc_star
 from repro.core.stats import SearchStats
 
 try:
-    from ._common import ALL_DATASETS, BENCH_ENGINE, DEFAULT_TAU, \
-        bench_graph, format_seconds, print_table, run_once, timed
+    from ._common import ALL_DATASETS, DEFAULT_TAU, bench_graph, \
+        format_seconds, print_table, run_once, timed
 except ImportError:
-    from _common import ALL_DATASETS, BENCH_ENGINE, DEFAULT_TAU, \
-        bench_graph, format_seconds, print_table, run_once, timed
+    from _common import ALL_DATASETS, DEFAULT_TAU, bench_graph, \
+        format_seconds, print_table, run_once, timed
 
 ALGORITHMS = {
     "MBC": lambda g, s: mbc_baseline(
@@ -32,10 +32,8 @@ ALGORITHMS = {
     "MBC-noER": lambda g, s: mbc_baseline(
         g, DEFAULT_TAU, use_edge_reduction=False, stats=s),
     "MBC*-withER": lambda g, s: mbc_star(
-        g, DEFAULT_TAU, use_edge_reduction=True, stats=s,
-        engine=BENCH_ENGINE),
-    "MBC*": lambda g, s: mbc_star(
-        g, DEFAULT_TAU, stats=s, engine=BENCH_ENGINE),
+        g, DEFAULT_TAU, use_edge_reduction=True, stats=s),
+    "MBC*": lambda g, s: mbc_star(g, DEFAULT_TAU, stats=s),
 }
 
 

@@ -156,9 +156,10 @@ class ProgramRule(Rule):
 
 
 #: Path components (besides ``repro``) that anchor a module name.
-#: ``benchmarks/bench_kernels.py`` -> ``benchmarks.bench_kernels`` so
-#: the whole-program rules can police the benchmark harness too; the
-#: per-module rules all scope to ``repro.*`` and keep skipping it.
+#: ``benchmarks/bench_fig6_runtime.py`` ->
+#: ``benchmarks.bench_fig6_runtime`` so the whole-program rules can
+#: police the benchmark harness too; the per-module rules all scope to
+#: ``repro.*`` and keep skipping it.
 _EXTRA_ROOTS = ("benchmarks",)
 
 

@@ -29,7 +29,6 @@ EXPECTED_MODULES = [
     "bench_ablation_orderings",
     "bench_ablation_pruning",
     "bench_ablation_bounds",
-    "bench_kernels",
 ]
 
 

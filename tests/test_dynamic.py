@@ -5,8 +5,8 @@ full re-solves after *every* edit, across engines and worker counts)
 lives in ``tests/test_property.py::TestDynamicDifferential``; this
 module covers the API contracts: mutation semantics, cache
 invalidation and reuse, the skip fast path, out-of-band mutation
-resync, budget truncation (uncertified bounds are never cached), and
-the edit-script format.
+resync, budget truncation (uncertified bounds are never cached), the
+edit-script format, and seeded edit streams on real stand-ins.
 """
 
 import random
@@ -16,6 +16,7 @@ import pytest
 from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_star
 from repro.core.result import BalancedClique, Status
+from repro.datasets.registry import load
 from repro.dynamic import (
     DynamicSolver,
     Edit,
@@ -28,6 +29,9 @@ from repro.resilience.budget import Budget
 from repro.signed.graph import NEGATIVE, POSITIVE, SignedGraph
 
 from .conftest import SOLVER_ENGINES
+
+#: Real stand-ins whose seeded edit streams are replayed at tau=3.
+STAND_INS = ("bitcoin", "adjwordnet", "referendum", "douban")
 
 
 def random_graph(seed: int, n_low: int = 8, n_high: int = 14) -> SignedGraph:
@@ -167,6 +171,16 @@ class TestIncrementalSolve:
         solver = DynamicSolver(graph, tau=1, engine=engine)
         assert_matches_full(solver)
         for edit in random_edits(graph, 12, seed=3):
+            apply_edit(solver, edit)
+            assert_matches_full(solver)
+
+    @pytest.mark.parametrize("name", STAND_INS)
+    def test_stand_in_edit_stream_matches_full_resolve(self, name):
+        # load() returns the shared cached graph: edit a private copy.
+        graph = load(name).copy()
+        solver = DynamicSolver(graph, 3)
+        seed = 2022 + STAND_INS.index(name)
+        for edit in random_edits(graph, 20, seed=seed):
             apply_edit(solver, edit)
             assert_matches_full(solver)
 

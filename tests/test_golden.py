@@ -7,9 +7,9 @@ A serial solve must reproduce them exactly — size, beta *and* the
 sorted sides — so a preprocessing change that moves a tie-break shows
 up here rather than as a silent witness drift.  The serial numpy engine
 runs the same ego steps on mask matrices and must reproduce the same
-witnesses.  Parallel fan-outs pick
-their witness by arrival order, so for ``parallel=2`` only the size and
-beta are pinned.
+witnesses.  The set engine may legitimately break ties differently,
+and parallel fan-outs pick their witness by arrival order, so for
+``engine="set"`` and ``parallel=2`` only the size and beta are pinned.
 
 Regenerate (only for an intended witness change) with::
 
@@ -71,6 +71,13 @@ def test_numpy_serial_witnesses_exact(graphs, name):
 @pytest.mark.parametrize("name", dataset_names())
 def test_parallel_sizes_exact(graphs, name):
     got = _answers(graphs[name], parallel=2)
+    assert got["mbc"]["size"] == GOLDEN[name]["mbc"]["size"]
+    assert got["pf"]["beta"] == GOLDEN[name]["pf"]["beta"]
+
+
+@pytest.mark.parametrize("name", dataset_names())
+def test_set_engine_sizes_exact(graphs, name):
+    got = _answers(graphs[name], engine="set")
     assert got["mbc"]["size"] == GOLDEN[name]["mbc"]["size"]
     assert got["pf"]["beta"] == GOLDEN[name]["pf"]["beta"]
 
