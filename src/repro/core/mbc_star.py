@@ -10,8 +10,9 @@ Pipeline:
 4. for each vertex ``u`` in *reverse* degeneracy order, run the MDC
    ego step of :mod:`repro.dichromatic.ego`: skip ``u`` when its
    higher-ranked neighbour counts cannot meet ``tau`` or beat ``|C*|``,
-   otherwise build the dichromatic network ``g_u``, core-reduce it,
-   skip it when the colouring bound cannot beat ``|C*|``, and solve a
+   or when the core of ``g_u`` (peeled on the global masks) is too
+   small, otherwise build the dichromatic network ``g_u``, core-reduce
+   it, skip it when the colouring bound cannot beat ``|C*|``, and solve a
    maximum dichromatic clique instance
    (:func:`repro.dichromatic.mdc.solve_mdc`).  This module keeps only
    the loop: the order, the higher-ranked mask, the incumbent, budget
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from ..dichromatic.ego import MDC_STEPS, ego_adjacency, witness_members
 from ..kernels import engine_spec, npmask, validate_engine
-from ..kernels.active import degeneracy_ordering_mask, k_core_active_mask
+from ..kernels.active import degeneracy_ordering_array, k_core_array
 from ..kernels.bitset import bits_of, mask_of
 from ..obs import Tracer, current_tracer
 from ..parallel.engine import mbc_ego_fanout, resolve_workers
@@ -36,8 +37,8 @@ from ..unsigned.cores import k_core_subset
 from ..unsigned.graph import UnsignedGraph
 from ..unsigned.ordering import degeneracy_ordering
 from .heuristic import mbc_heuristic
-from .reductions import edge_reduction, edge_reduction_fast, \
-    vertex_reduction
+from .reductions import degrees_inside, edge_reduction, \
+    edge_reduction_fast, vertex_reduction
 from .result import EMPTY_RESULT, BalancedClique
 from .stats import SearchStats
 
@@ -228,11 +229,15 @@ def _pipeline(
     required = max(best.size + 1, 2 * tau)
     with tracer.span("core_reduction", required=required) as phase:
         if engine == "bitset":
-            unsigned_bits = UnsignedGraph.from_signed_bits(
-                working).adjacency_bits()
-            core_mask = k_core_active_mask(
-                unsigned_bits, required - 1, alive)
-            core = bits_of(core_mask)
+            # Degrees inside ``alive`` are popcounts of the signed
+            # masks; the peel walks the flat neighbour array, and leaves
+            # ``degree`` holding the degrees inside the core.
+            members = bits_of(alive)
+            degree = degrees_inside(working, members, alive)
+            offsets, targets = working.neighbor_array()
+            inside = k_core_array(offsets, targets, required - 1,
+                                  members, degree)
+            core = [v for v in members if inside[v]]
         elif engine == "numpy":
             # Label-blind adjacency straight from the signed matrices;
             # no UnsignedGraph object is needed on this path.
@@ -259,7 +264,8 @@ def _pipeline(
                 # Ordering the core-induced subgraph suffices: every
                 # clique able to beat the incumbent lies inside the
                 # |C*|-core, and the sweep only ever ranks core vertices.
-                order = degeneracy_ordering_mask(unsigned_bits, core_mask)
+                order = degeneracy_ordering_array(
+                    offsets, targets, core, degree)
             elif engine == "numpy":
                 order = npmask.degeneracy_ordering(
                     unsigned_mat, core_row)
@@ -270,8 +276,8 @@ def _pipeline(
         elif ordering == "degree":
             # Non-decreasing degree inside ``alive``, ties by id.
             if engine == "bitset":
-                order = sorted(core, key=lambda v: (
-                    unsigned_bits[v] & alive).bit_count())
+                degree = degrees_inside(working, members, alive)
+                order = sorted(core, key=degree.__getitem__)
             elif engine == "numpy":
                 degrees = npmask.degrees_in_active(
                     unsigned_mat, alive_row)

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from ..dichromatic.ego import DCC_STEPS, ego_adjacency, witness_members
 from ..kernels import engine_spec, npmask, validate_engine
-from ..kernels.active import degeneracy_ordering_mask
-from ..kernels.bitset import mask_of
+from ..kernels.active import degeneracy_ordering_array
+from ..kernels.bitset import bits_of, mask_of
 from ..obs import Tracer, current_tracer
 from ..parallel.engine import pf_round_fanout, resolve_workers
 from ..resilience.budget import Budget, BudgetExceeded
@@ -34,8 +34,8 @@ from ..unsigned.graph import UnsignedGraph
 from ..unsigned.ordering import degeneracy_ordering
 from .heuristic import mbc_heuristic
 from .mbc_star import mbc_star
-from .reductions import polar_core_numbers, polarization_upper_bound, \
-    vertex_reduction
+from .reductions import degrees_inside, polar_core_numbers, \
+    polarization_upper_bound, vertex_reduction
 from .result import BalancedClique
 from .stats import SearchStats
 
@@ -295,9 +295,11 @@ def _pf_pipeline(
         if ordering == "polarization":
             order, pn = polar_core_numbers(graph, alive)
         elif engine == "bitset":
-            order = degeneracy_ordering_mask(
-                UnsignedGraph.from_signed_bits(graph).adjacency_bits(),
-                alive)
+            members = bits_of(alive)
+            offsets, targets = graph.neighbor_array()
+            order = degeneracy_ordering_array(
+                offsets, targets, members,
+                degrees_inside(graph, members, alive))
         elif engine == "numpy":
             unsigned_mat = (graph.pos_adjacency_matrix()
                             | graph.neg_adjacency_matrix())

@@ -22,6 +22,7 @@ from ..kernels.bitset import bits_of
 from ..signed.graph import SignedGraph
 
 __all__ = [
+    "degrees_inside",
     "vertex_reduction",
     "edge_reduction",
     "edge_reduction_fast",
@@ -30,6 +31,20 @@ __all__ = [
     "polar_core_vertices",
     "polarization_upper_bound",
 ]
+
+
+def degrees_inside(graph: SignedGraph, members: list[int],
+                   alive: int) -> list[int]:
+    """Signs-ignored degree inside the vertex mask ``alive`` of each of
+    ``members`` (``0`` for every other vertex), as popcounts of the
+    graph's cached masks: the starting degrees of the array peels."""
+    pos_bits = graph.pos_adjacency_bits()
+    neg_bits = graph.neg_adjacency_bits()
+    degree = [0] * graph.num_vertices
+    for v in members:
+        degree[v] = (pos_bits[v] & alive).bit_count() \
+            + (neg_bits[v] & alive).bit_count()
+    return degree
 
 
 def vertex_reduction(graph: SignedGraph, tau: int) -> set[int]:
@@ -186,7 +201,11 @@ def polar_core_numbers(
     ``VertexReduction`` survivors, and degrees come from the graph's
     cached adjacency masks.  Ties pop lowest id first (one int heap key
     ``key * n + v``), so the result in the caller's ids is the
-    relabelled-subgraph result mapped back.
+    relabelled-subgraph result mapped back.  A neighbour's entry is
+    pushed only when its key actually drops (it lost an edge on its
+    smaller side); otherwise its live entry is still current, so the
+    pops, and ``(order, pn)``, are those of pushing on every
+    decrement.
 
     Returns ``(order, pn)``: ``order`` lists the (alive) vertices in
     non-decreasing ``pn`` (the *polarization order*), ``pn[v]`` is the
@@ -230,20 +249,21 @@ def polar_core_numbers(
             current = value
         pn[u] = current
         order.append(u)
+        # A neighbour's key min(d+ + 1, d-) drops only when the side
+        # it loses is the smaller one; otherwise its live heap entry
+        # is still current and nothing is pushed.
         for v in graph.pos_neighbors(u):
             if not removed[v] and pos_deg[v] >= current:
                 key = pos_deg[v]  # the new d+ plus one
                 pos_deg[v] = key - 1
-                if neg_deg[v] < key:
-                    key = neg_deg[v]
-                heapq.heappush(heap, key * n + v)
+                if key < neg_deg[v]:
+                    heapq.heappush(heap, key * n + v)
         for v in graph.neg_neighbors(u):
             if not removed[v] and neg_deg[v] > current:
                 key = neg_deg[v] - 1
                 neg_deg[v] = key
-                if pos_deg[v] + 1 < key:
-                    key = pos_deg[v] + 1
-                heapq.heappush(heap, key * n + v)
+                if key <= pos_deg[v]:
+                    heapq.heappush(heap, key * n + v)
     return order, pn
 
 

@@ -13,13 +13,23 @@ The prune chains, cheapest test first:
 
 * **MDC** (maximum anchored clique of size ``>= required``): the
   tau-count bound (``u`` needs ``tau - 1`` positive and ``tau``
-  negative higher-ranked neighbours), the candidate-count bound, then
-  the network, its ``(required - 2)``-core, the colouring bound, and
+  negative higher-ranked neighbours), the candidate-count bound, the
+  ``(required - 2)``-core, then the network, the colouring bound, and
   :func:`~repro.dichromatic.mdc.solve_mdc`;
 * **DCC** (is there an anchored clique with polarization
-  ``> bar``?): the candidate-count bound, then the network, its
-  ``(bar, bar + 1)``-core, and
+  ``> bar``?): the candidate-count bound, the ``(bar, bar + 1)``-core,
+  then the network and
   :func:`~repro.dichromatic.dcc.dichromatic_clique_witness`.
+
+Most egos die at the core test, so the bitset steps run it before
+building anything: :func:`ego_k_core` and :func:`ego_bicore` peel
+``g_u``'s core on the graph's global masks, where a vertex's degree in
+``g_u`` is two popcounts.  The peel keeps exactly the vertices the
+built network's core keeps, so a too-small core is the same ``"core"``
+prune with the same ``upper``, and a survivor builds the network and
+runs the unchanged chain (its local core equals the peel), leaving
+witnesses, prune reasons and :class:`SearchStats` as they were.  The
+numpy and set steps build first and peel the network.
 
 Each engine holds the adjacency in its own form — ``(pos_bits,
 neg_bits)`` int-mask lists for ``"bitset"``, ``(pos_mat, neg_mat)``
@@ -55,6 +65,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from ..kernels import npmask
+from ..kernels.bitset import bits_of
 from ..kernels.active import (
     active_edge_count_mask,
     bicore_active_mask,
@@ -83,6 +94,8 @@ __all__ = [
     "MDC_STEPS",
     "DCC_STEPS",
     "ego_adjacency",
+    "ego_k_core",
+    "ego_bicore",
     "witness_members",
     "mdc_step_bits",
     "mdc_step_np",
@@ -137,6 +150,107 @@ def _dcc_solved(ego: Span, bar: int, cap: int, network: DichromaticGraph,
     return None, (bar if found is None else cap), network, found
 
 
+def ego_k_core(pos_bits: list[int], neg_bits: list[int], u: int,
+               allowed: int, k: int) -> "tuple[int, int]":
+    """The L and R sides of ``g_u``'s ``k``-core as global masks,
+    peeled without building ``g_u``.
+
+    ``g_u`` keeps an L vertex's positive edges into L and negative
+    edges into R (mirrored for R), so a vertex's degree in ``g_u`` is
+    two popcounts of its global masks.  Sweeps drop every violator
+    until one drops none; the fixpoint is exactly the ``k``-core of
+    the built network, mapped back through ``network.origin``.  A
+    non-empty ``k``-core has more than ``k`` vertices, so the peel
+    stops with an empty core as soon as at most ``k`` remain.
+    """
+    left = pos_bits[u] & allowed
+    right = neg_bits[u] & allowed
+    if k <= 0:
+        return left, right
+    left_members = bits_of(left)
+    right_members = bits_of(right)
+    count = len(left_members) + len(right_members)
+    if count <= k:
+        return 0, 0
+    changed = True
+    while changed:
+        changed = False
+        kept = []
+        for v in left_members:
+            if (pos_bits[v] & left).bit_count() \
+                    + (neg_bits[v] & right).bit_count() < k:
+                left ^= 1 << v
+                count -= 1
+                if count <= k:
+                    return 0, 0
+                changed = True
+            else:
+                kept.append(v)
+        left_members = kept
+        kept = []
+        for v in right_members:
+            if (pos_bits[v] & right).bit_count() \
+                    + (neg_bits[v] & left).bit_count() < k:
+                right ^= 1 << v
+                count -= 1
+                if count <= k:
+                    return 0, 0
+                changed = True
+            else:
+                kept.append(v)
+        right_members = kept
+    return left, right
+
+
+def ego_bicore(pos_bits: list[int], neg_bits: list[int], u: int,
+               allowed: int, bar: int) -> "tuple[int, int]":
+    """:func:`ego_k_core` for DCC's ``(bar, bar + 1)``-core of ``g_u``.
+
+    An L vertex needs ``bar - 1`` L and ``bar + 1`` R neighbours, an R
+    vertex ``bar`` of each (the L quota is shifted by the excluded
+    anchor ``u``), as in
+    :func:`~repro.kernels.active.bicore_active_mask`.  Either way a
+    non-empty core has ``bar`` L and ``bar + 1`` R vertices, so the
+    peel stops with an empty core as soon as a side falls short.
+    """
+    left = pos_bits[u] & allowed
+    right = neg_bits[u] & allowed
+    left_members = bits_of(left)
+    right_members = bits_of(right)
+    left_count = len(left_members)
+    right_count = len(right_members)
+    if left_count < bar or right_count <= bar:
+        return 0, 0
+    changed = True
+    while changed:
+        changed = False
+        kept = []
+        for v in left_members:
+            if (pos_bits[v] & left).bit_count() < bar - 1 \
+                    or (neg_bits[v] & right).bit_count() <= bar:
+                left ^= 1 << v
+                left_count -= 1
+                if left_count < bar:
+                    return 0, 0
+                changed = True
+            else:
+                kept.append(v)
+        left_members = kept
+        kept = []
+        for v in right_members:
+            if (neg_bits[v] & left).bit_count() < bar \
+                    or (pos_bits[v] & right).bit_count() < bar:
+                right ^= 1 << v
+                right_count -= 1
+                if right_count <= bar:
+                    return 0, 0
+                changed = True
+            else:
+                kept.append(v)
+        right_members = kept
+    return left, right
+
+
 def mdc_step_bits(
     adjacency: "tuple[list[int], list[int]]",
     u: int,
@@ -162,17 +276,20 @@ def mdc_step_bits(
         return _pruned(ego, "bound", 0)
     if pos_count + neg_count + 1 < required:
         return _pruned(ego, "bound", pos_count + neg_count + 1)
+    # Core/colour prunes certify only "nothing >= required": an anchored
+    # clique of size required - 1 may live outside the
+    # (required - 2)-core, so their bound is required - 1, no tighter.
+    if use_core:
+        left, right = ego_k_core(pos_bits, neg_bits, u, allowed,
+                                 required - 2)
+        if left.bit_count() + right.bit_count() + 1 < required:
+            return _pruned(ego, "core", required - 1)
     network = dichromatic_network_from_masks(
         pos_bits, neg_bits, u, allowed)
     adj = network.adjacency_bits()
     active = network.all_bits()
     if use_core:
         active = k_core_active_mask(adj, required - 2, active)
-    # Core/colour prunes certify only "nothing >= required": an anchored
-    # clique of size required - 1 may live outside the
-    # (required - 2)-core, so their bound is required - 1, no tighter.
-    if active.bit_count() + 1 < required:
-        return _pruned(ego, "core", required - 1)
     if use_coloring and \
             coloring_upper_bound_active_mask(adj, active) < required - 1:
         return _pruned(ego, "color", required - 1)
@@ -321,17 +438,16 @@ def dcc_step_bits(
               (neg_bits[u] & allowed).bit_count())
     if cap <= bar:
         return _pruned(ego, "bound", cap)
+    left, right = ego_bicore(pos_bits, neg_bits, u, allowed, bar)
+    if left.bit_count() < bar or right.bit_count() < bar + 1:
+        return _pruned(ego, "core", bar)
     network = dichromatic_network_from_masks(
         pos_bits, neg_bits, u, allowed)
     adj = network.adjacency_bits()
-    left = network.left_bits()
     # (bar + 1, bar + 1)-core of g_u, the L quota shifted by the
-    # excluded anchor u.
-    active = bicore_active_mask(adj, left, bar, bar + 1,
+    # excluded anchor u: the vertices ego_bicore kept, in local ids.
+    active = bicore_active_mask(adj, network.left_bits(), bar, bar + 1,
                                 network.all_bits())
-    left_count = (active & left).bit_count()
-    if left_count < bar or active.bit_count() - left_count < bar + 1:
-        return _pruned(ego, "core", bar)
     ego.set(n=network.num_vertices)
     if stats is not None:
         stats.instances += 1

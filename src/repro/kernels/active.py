@@ -9,6 +9,14 @@ mask, and touches no graph objects at all, so a graph only pays the
 mask-building cost once and every node after that runs on word-parallel
 integer ops.
 
+The graph-level peels of MBC* and PF* (the ``|C*|``-core and the
+degeneracy ordering) also come fed from a graph's flat neighbour array
+(:meth:`repro.signed.graph.SignedGraph.neighbor_array`):
+:func:`k_core_array` and :func:`degeneracy_ordering_array` read one
+machine word per edge where the mask forms extract bits from wide
+ints.  Both degeneracy orderings share one bucket loop,
+:func:`degeneracy_peel`, so they return the same order.
+
 Semantics mirror the set implementations in
 :mod:`repro.dichromatic.cores` exactly (the differential engine tests
 assert this); only tie-breaking inside the greedy colouring order may
@@ -16,6 +24,11 @@ differ, which affects neither soundness nor the search result.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from array import array
 
 __all__ = [
     "intersect_active",
@@ -26,6 +39,9 @@ __all__ = [
     "first_fit_color_count",
     "active_edge_count_mask",
     "degeneracy_ordering_mask",
+    "degeneracy_ordering_array",
+    "degeneracy_peel",
+    "k_core_array",
 ]
 
 
@@ -193,21 +209,17 @@ def degeneracy_ordering_mask(adj: list[int], active: int) -> list[int]:
     exact order) may differ from the set implementation — any valid
     degeneracy order is acceptable to the callers.
     """
-    if not active:
-        return []
     # Extract neighbour lists once — the peel itself then runs entirely
     # on machine-word ints (a wide-mask op per *edge* would dominate on
     # sparse graphs).
-    n = len(adj)
     members: list[int] = []
     rest = active
     while rest:
         low = rest & -rest
         rest ^= low
         members.append(low.bit_length() - 1)
-    neigh: list[list[int]] = [[]] * n
-    degree = [0] * n
-    max_degree = 0
+    neighbors: list[list[int]] = [[]] * len(adj)
+    degree = [0] * len(adj)
     for v in members:
         lst: list[int] = []
         rest = adj[v] & active
@@ -215,16 +227,51 @@ def degeneracy_ordering_mask(adj: list[int], active: int) -> list[int]:
             low = rest & -rest
             rest ^= low
             lst.append(low.bit_length() - 1)
-        neigh[v] = lst
-        d = len(lst)
-        degree[v] = d
-        if d > max_degree:
-            max_degree = d
+        neighbors[v] = lst
+        degree[v] = len(lst)
+    return degeneracy_peel(members, degree, neighbors)
+
+
+def degeneracy_ordering_array(offsets: "array[int]", targets: "array[int]",
+                              members: list[int],
+                              degree: list[int]) -> list[int]:
+    """:func:`degeneracy_ordering_mask` over a flat neighbour array.
+
+    ``(offsets, targets)`` is a graph's
+    :meth:`~repro.signed.graph.SignedGraph.neighbor_array`;
+    ``members`` lists the induced subgraph's vertices ascending and
+    ``degree[v]`` their degrees inside it (consumed).  The peel walks
+    array slices, one machine-word read per edge, and returns the
+    order :func:`degeneracy_ordering_mask` gives on the same subgraph.
+    """
+    neighbors: "list[Sequence[int]]" = [()] * len(degree)
+    for v in members:
+        neighbors[v] = targets[offsets[v]:offsets[v + 1]]
+    return degeneracy_peel(members, degree, neighbors)
+
+
+def degeneracy_peel(members: list[int], degree: list[int],
+                    neighbors: "Sequence[Sequence[int]]") -> list[int]:
+    """The bucket-queue loop behind both degeneracy orderings.
+
+    ``members`` are the subgraph's vertices ascending, ``degree[v]``
+    their degrees inside it (updated in place) and ``neighbors[v]``
+    their ascending neighbours; neighbours outside ``members`` are
+    skipped.  Ties break by bucket insertion order, so equal inputs
+    give equal orders whatever representation fed them.
+    """
+    if not members:
+        return []
+    n = len(degree)
+    max_degree = max(degree[v] for v in members)
     buckets: list[list[int]] = [[] for _ in range(max_degree + 1)]
+    # Vertices outside ``members`` start out removed, so the peel never
+    # visits them.
+    removed = bytearray(b"\x01") * n
     for v in members:
         buckets[degree[v]].append(v)
+        removed[v] = 0
     pointer = [0] * (max_degree + 1)
-    removed = bytearray(n)
     order: list[int] = []
     scan_from = 0
     total = len(members)
@@ -241,12 +288,41 @@ def degeneracy_ordering_mask(adj: list[int], active: int) -> list[int]:
         scan_from = max(0, d - 1)
         removed[v] = 1
         order.append(v)
-        for u in neigh[v]:
+        for u in neighbors[v]:
             if not removed[u]:
                 du = degree[u] - 1
                 degree[u] = du
                 buckets[du].append(u)
     return order
+
+
+def k_core_array(offsets: "array[int]", targets: "array[int]", k: int,
+                 members: list[int], degree: list[int]) -> bytearray:
+    """Label-blind ``k``-core of the subgraph induced by ``members``,
+    peeled over a flat neighbour array.
+
+    ``degree[v]`` holds each member's degree inside ``members``; on
+    return it holds each survivor's degree inside the core.  Returns a
+    flag per vertex, set exactly for the survivors: the vertices
+    :func:`k_core_active_mask` keeps.
+    """
+    inside = bytearray(len(degree))
+    stack: list[int] = []
+    for v in members:
+        if degree[v] < k:
+            stack.append(v)
+        else:
+            inside[v] = 1
+    while stack:
+        v = stack.pop()
+        for u in targets[offsets[v]:offsets[v + 1]]:
+            if inside[u]:
+                du = degree[u] - 1
+                degree[u] = du
+                if du < k:
+                    inside[u] = 0
+                    stack.append(u)
+    return inside
 
 
 def active_edge_count_mask(adj: list[int], active: int) -> int:

@@ -20,14 +20,17 @@ dominant primitive.  The structure is mutable only through the explicit
 edge/vertex editing API; algorithms never mutate a caller's graph.
 MBC* and PF* restrict every phase to a vertex mask over the graph's
 lazily cached adjacency masks (:meth:`SignedGraph.pos_adjacency_bits`),
-in the caller's own ids; code that must edit (EdgeReduction) works on a
-:meth:`SignedGraph.copy`.  Every mutation drops the mask cache, so a
-solve after an edit never sees stale masks.
+in the caller's own ids, and run their graph-level peels on the cached
+flat neighbour array (:meth:`SignedGraph.neighbor_array`); code that
+must edit (EdgeReduction) works on a :meth:`SignedGraph.copy`.  Every
+mutation drops the cached masks and array, so a solve after an edit
+never sees stale adjacency.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from ..kernels import npmask
@@ -84,6 +87,8 @@ class SignedGraph:
         self._neg_bits: list[int] | None = None
         self._pos_mat: "Matrix | None" = None
         self._neg_mat: "Matrix | None" = None
+        self._neighbor_array: "tuple[array[int], array[int]] | None" = \
+            None
         self._fingerprint: str | None = None
         # XOR accumulator of per-edge hash tokens.  ``None`` means "not
         # primed": mutators skip it entirely, so bulk construction and
@@ -240,6 +245,24 @@ class SignedGraph:
                 self.neg_adjacency_bits(), self.num_vertices)
         return self._neg_mat
 
+    def neighbor_array(self) -> "tuple[array[int], array[int]]":
+        """Signs-ignored adjacency as flat arrays, lazily cached.
+
+        Returns ``(offsets, neighbors)``: the neighbours of ``v`` are
+        ``neighbors[offsets[v]:offsets[v + 1]]``, ascending.  The
+        graph-level peels walk it instead of extracting bits from the
+        masks, one machine-word read per edge.  Same invalidation
+        contract as :meth:`pos_adjacency_bits`.
+        """
+        if self._neighbor_array is None:
+            offsets = array("i", [0])
+            neighbors = array("i")
+            for pos, neg in zip(self._pos, self._neg):
+                neighbors.extend(sorted(pos | neg))
+                offsets.append(len(neighbors))
+            self._neighbor_array = offsets, neighbors
+        return self._neighbor_array
+
     def all_bits(self) -> int:
         """Mask of the full vertex set ``0..n-1``."""
         return full_mask(self.num_vertices)
@@ -249,6 +272,7 @@ class SignedGraph:
         self._neg_bits = None
         self._pos_mat = None
         self._neg_mat = None
+        self._neighbor_array = None
         self._fingerprint = None
 
     def pos_degree(self, v: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..kernels.bitset import adjacency_masks, full_mask, iter_bits
+from ..kernels.bitset import adjacency_masks, full_mask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..signed.graph import SignedGraph
@@ -25,7 +25,7 @@ class UnsignedGraph:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         self._n = n
-        self._adj: list[set[int]] | None = [set() for _ in range(n)]
+        self._adj: list[set[int]] = [set() for _ in range(n)]
         self._adj_bits: list[int] | None = None
 
     @classmethod
@@ -45,38 +45,12 @@ class UnsignedGraph:
             graph.add_edge(u, v)
         return graph
 
-    @classmethod
-    def from_signed_bits(cls, signed: "SignedGraph") -> "UnsignedGraph":
-        """Mask-backed unsigned view: adjacency is ``pos | neg``.
-
-        No per-edge set insertions — one OR per vertex over the signed
-        graph's cached global bitmasks.  Adjacency sets are materialized
-        lazily only if a set-based accessor is used.
-        """
-        pos_bits = signed.pos_adjacency_bits()
-        neg_bits = signed.neg_adjacency_bits()
-        graph = cls.__new__(cls)
-        graph._n = signed.num_vertices
-        graph._adj = None
-        graph._adj_bits = [
-            pos | neg for pos, neg in zip(pos_bits, neg_bits)]
-        return graph
-
-    def _sets(self) -> list[set[int]]:
-        """Adjacency sets, materialized from the masks on first use."""
-        if self._adj is None:
-            self._adj = [
-                set(iter_bits(mask)) for mask in self._adj_bits]
-        return self._adj
-
     @property
     def num_vertices(self) -> int:
         return self._n
 
     @property
     def num_edges(self) -> int:
-        if self._adj_bits is not None:
-            return sum(mask.bit_count() for mask in self._adj_bits) // 2
         return sum(len(adj) for adj in self._adj) // 2
 
     def vertices(self) -> range:
@@ -84,20 +58,16 @@ class UnsignedGraph:
 
     def neighbors(self, v: int) -> set[int]:
         """Live adjacency set of ``v`` — callers must not mutate it."""
-        return self._sets()[v]
+        return self._adj[v]
 
     def degree(self, v: int) -> int:
-        if self._adj_bits is not None:
-            return self._adj_bits[v].bit_count()
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self._adj_bits is not None:
-            return bool(self._adj_bits[u] & (1 << v))
         return v in self._adj[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        adj = self._sets()
+        adj = self._adj
         for u in self.vertices():
             for v in adj[u]:
                 if u < v:
@@ -109,7 +79,7 @@ class UnsignedGraph:
         n = self.num_vertices
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        adj = self._sets()
+        adj = self._adj
         adj[u].add(v)
         adj[v].add(u)
         self._adj_bits = None
@@ -130,13 +100,13 @@ class UnsignedGraph:
 
     def copy(self) -> "UnsignedGraph":
         clone = UnsignedGraph(self.num_vertices)
-        clone._adj = [set(adj) for adj in self._sets()]
+        clone._adj = [set(adj) for adj in self._adj]
         return clone
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         """Whether the given vertices are pairwise adjacent."""
         members = list(vertices)
-        sets = self._sets()
+        sets = self._adj
         for i, u in enumerate(members):
             adj = sets[u]
             for v in members[i + 1:]:

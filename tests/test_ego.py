@@ -4,15 +4,20 @@ Every engine's MDC and DCC step is run on each anchor of a reverse
 degeneracy sweep over small seeded graphs, at several bars.  The
 engines must agree on the prune reason, the certified upper bound and
 the witness size, and each upper bound must hold against an exhaustive
-search of the anchor's higher-ranked neighbourhood.
+search of the anchor's higher-ranked neighbourhood.  The bitset steps
+decide core prunes on the graph's global masks before building
+``g_u``; that peel must keep exactly the vertices the network's own
+core keeps.
 """
 
 import pytest
 
 from repro.core.balance import is_balanced_clique
+from repro.dichromatic.build import dichromatic_network_from_masks
 from repro.dichromatic.ego import DCC_STEPS, MDC_STEPS, ego_adjacency, \
-    witness_members
-from repro.kernels.active import degeneracy_ordering_mask
+    ego_bicore, ego_k_core, witness_members
+from repro.kernels.active import bicore_active_mask, \
+    degeneracy_ordering_mask, k_core_active_mask
 from repro.signed.graph import NEGATIVE, POSITIVE, SignedGraph
 
 from .conftest import SOLVER_ENGINES, make_random_signed_graph
@@ -36,6 +41,41 @@ def _sweep(graph: SignedGraph):
     for u in reversed(order):
         yield u, allowed
         allowed |= 1 << u
+
+
+def _global_sides(network, active: int) -> tuple[int, int]:
+    """``active`` (local ids of ``network``) as global L and R masks."""
+    left = right = 0
+    for v, (origin, is_left) in enumerate(
+            zip(network.origin, network.is_left)):
+        if active >> v & 1:
+            if is_left:
+                left |= 1 << origin
+            else:
+                right |= 1 << origin
+    return left, right
+
+
+def assert_ego_peels_match(graph: SignedGraph, ks, bars) -> None:
+    """On every anchor of the sweep, the global-mask peels keep exactly
+    the vertices of the built network's ``k``-core and
+    ``(bar, bar + 1)``-core."""
+    pos_bits, neg_bits = ego_adjacency(graph, "bitset")
+    for u, allowed in _sweep(graph):
+        network = dichromatic_network_from_masks(
+            pos_bits, neg_bits, u, allowed)
+        adj = network.adjacency_bits()
+        everyone = network.all_bits()
+        for k in ks:
+            expected = _global_sides(
+                network, k_core_active_mask(adj, k, everyone))
+            assert ego_k_core(pos_bits, neg_bits, u, allowed, k) \
+                == expected, (u, k)
+        for bar in bars:
+            expected = _global_sides(network, bicore_active_mask(
+                adj, network.left_bits(), bar, bar + 1, everyone))
+            assert ego_bicore(pos_bits, neg_bits, u, allowed, bar) \
+                == expected, (u, bar)
 
 
 def _anchored_sides(graph: SignedGraph, u: int,
@@ -128,6 +168,11 @@ def test_dcc_steps_agree_and_certify(seed):
                     graph, _clique(u, network, found), bar + 1)
             else:
                 assert optimum <= bar
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_global_mask_peels_match_network_cores(seed):
+    assert_ego_peels_match(_graph(seed), ks=range(-1, 6), bars=DCC_BARS)
 
 
 def test_ablation_flags_keep_upper_certified():

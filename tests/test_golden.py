@@ -11,6 +11,12 @@ witnesses.  The set engine may legitimately break ties differently,
 and parallel fan-outs pick their witness by arrival order, so for
 ``engine="set"`` and ``parallel=2`` only the size and beta are pinned.
 
+``PINNED_COUNTERS`` pins the serial bitset :class:`SearchStats` of
+both solvers on four stand-ins: examined vertices, launched instances,
+search nodes and the Table IV reduction samples.  A prune that moves
+before the network build (or any other preprocessing change) must
+leave every solved instance as it was, so these do not move either.
+
 Regenerate (only for an intended witness change) with::
 
     PYTHONPATH=src python -m tests.test_golden
@@ -25,6 +31,7 @@ import pytest
 
 from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_star
+from repro.core.stats import SearchStats
 from repro.datasets.registry import dataset_names, load
 
 from .conftest import requires_numpy
@@ -34,6 +41,19 @@ TAU = 3
 SCALE = 1.0
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())["datasets"]
+
+#: ``(dataset, problem) -> (vertices_examined, instances, nodes,
+#: sum of SR1 samples, sum of SR2 samples)``; one sample per instance.
+PINNED_COUNTERS = {
+    ("bitcoin", "mbc"): (161, 12, 104, 4.365275577, 5.18658434),
+    ("bitcoin", "pf"): (152, 3, 24, 0.739304813, 1.601604278),
+    ("douban", "mbc"): (114, 6, 148, 1.116053619, 1.949491238),
+    ("douban", "pf"): (0, 0, 0, 0.0, 0.0),
+    ("sn1", "mbc"): (2396, 22, 157, 4.385690833, 5.215423787),
+    ("sn1", "pf"): (2266, 2, 18, 0.0, 0.0),
+    ("tripadvisor", "mbc"): (0, 0, 0, 0.0, 0.0),
+    ("tripadvisor", "pf"): (70, 25, 900, 0.0, 0.0),
+}
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +100,21 @@ def test_set_engine_sizes_exact(graphs, name):
     got = _answers(graphs[name], engine="set")
     assert got["mbc"]["size"] == GOLDEN[name]["mbc"]["size"]
     assert got["pf"]["beta"] == GOLDEN[name]["pf"]["beta"]
+
+
+@pytest.mark.parametrize("name,problem", sorted(PINNED_COUNTERS))
+def test_serial_search_counters_pinned(graphs, name, problem):
+    stats = SearchStats()
+    if problem == "mbc":
+        mbc_star(graphs[name], TAU, stats=stats)
+    else:
+        pf_star(graphs[name], stats=stats)
+    examined, instances, nodes, sr1, sr2 = PINNED_COUNTERS[name, problem]
+    assert (stats.vertices_examined, stats.instances, stats.nodes) \
+        == (examined, instances, nodes)
+    assert len(stats.sr1_samples) == len(stats.sr2_samples) == instances
+    assert sum(stats.sr1_samples) == pytest.approx(sr1, abs=1e-8)
+    assert sum(stats.sr2_samples) == pytest.approx(sr2, abs=1e-8)
 
 
 def _regenerate() -> None:

@@ -6,6 +6,13 @@ tests solve a graph, mutate the *same object* so the optimum moves,
 and solve again: the answer must equal a solve of a fresh ``copy()``
 (which has no cache at all).  They also pin that a solve never changes
 the caller's edges or fingerprint.
+
+The graph-level peels walk a third cache, the flat neighbour array of
+``neighbor_array()``.  A stale array still yields the right optimum
+(it only reorders the sweep), so its guards check the cache itself:
+built once, dropped by every mutator, never shared by ``copy()``, and
+after each mutation the degeneracy order it feeds equals the order on
+a fresh copy.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ import pytest
 
 from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_star
+from repro.core.reductions import degrees_inside
+from repro.kernels.active import degeneracy_ordering_array
 from repro.signed.generators import plant_balanced_clique
 from repro.signed.graph import NEGATIVE, POSITIVE, SignedGraph
 
@@ -100,3 +109,62 @@ def test_solve_leaves_graph_untouched(engine, parallel,
     assert _edge_set(graph) == edges
     assert graph.num_edges == len(edges)
     assert graph.fingerprint() == fingerprint
+
+
+def _array_order(graph: SignedGraph) -> list[int]:
+    """Degeneracy order of the whole graph, fed from its cached
+    neighbour array (the path MBC* and PF* order on)."""
+    members = list(graph.vertices())
+    offsets, targets = graph.neighbor_array()
+    return degeneracy_ordering_array(
+        offsets, targets, members,
+        degrees_inside(graph, members, graph.all_bits()))
+
+
+#: One edit per mutator.  Each edit but the sign flip moves the
+#: array-fed order, so a stale array also fails the order check; the
+#: flip leaves the signs-ignored adjacency alone and is caught by
+#: identity.
+NEIGHBOR_MUTATORS = {
+    "add_vertex": lambda g: g.add_vertex(),
+    "add_edge": lambda g: g.add_edge(*next(
+        (0, v) for v in g.vertices() if v and not g.has_edge(0, v)),
+        NEGATIVE),
+    "remove_edge": lambda g: g.remove_edge(0, 11),
+    "flip_sign": _flip,
+    "isolate_vertex": lambda g: g.isolate_vertex(LEFT[0]),
+}
+
+
+def test_neighbor_array_is_built_once():
+    graph = _planted()
+    offsets, targets = graph.neighbor_array()
+    assert graph.neighbor_array()[0] is offsets
+    assert graph.neighbor_array()[1] is targets
+    for v in graph.vertices():
+        assert list(targets[offsets[v]:offsets[v + 1]]) \
+            == sorted(graph.neighbors(v))
+
+
+@pytest.mark.parametrize("mutate", list(NEIGHBOR_MUTATORS.values()),
+                         ids=list(NEIGHBOR_MUTATORS))
+def test_every_mutator_drops_the_neighbor_array(mutate):
+    graph = _planted()
+    stale = graph.neighbor_array()
+    _array_order(graph)
+    mutate(graph)
+    fresh = graph.neighbor_array()
+    assert fresh is not stale
+    assert fresh == graph.copy().neighbor_array()
+    assert _array_order(graph) == _array_order(graph.copy())
+
+
+def test_copy_does_not_share_the_neighbor_array():
+    graph = _planted()
+    offsets, targets = graph.neighbor_array()
+    clone = graph.copy()
+    assert clone.neighbor_array()[0] is not offsets
+    assert clone.neighbor_array()[1] is not targets
+    clone.isolate_vertex(LEFT[0])
+    assert graph.neighbor_array() == (offsets, targets)
+    assert clone.neighbor_array() != (offsets, targets)

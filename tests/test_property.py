@@ -31,14 +31,21 @@ from repro.core.bruteforce import (
 from repro.core.mbc_baseline import mbc_baseline
 from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_star
+from repro.core.heuristic import mbc_heuristic
+from repro.core.reductions import degrees_inside, vertex_reduction
 from repro.core.result import BalancedClique
+from repro.datasets.registry import dataset_names, load
 from repro.dynamic import DynamicSolver, apply_edit, random_edits
+from repro.kernels.active import degeneracy_ordering_array, \
+    degeneracy_ordering_mask, k_core_active_mask, k_core_array
+from repro.kernels.bitset import bits_of, mask_of
 from repro.obs import get_tracer
 from repro.signed.graph import SignedGraph
 from repro.unsigned.graph import UnsignedGraph
 from repro.unsigned.ordering import degeneracy_ordering
 
 from .conftest import PARALLEL_ENGINES, SOLVER_ENGINES
+from .test_ego import assert_ego_peels_match
 
 #: Base of this run's seed window (CI varies it per matrix job).
 BASE_SEED = int(os.environ.get("REPRO_PROPERTY_SEED", "0"))
@@ -64,6 +71,40 @@ def random_graph(seed: int) -> SignedGraph:
                 sign = -1 if rng.random() < negative_ratio else 1
                 graph.add_edge(u, v, sign)
     return graph
+
+
+def larger_graph(seed: int) -> SignedGraph:
+    """A random signed graph of 20-60 vertices: too big for the
+    oracles, big enough for multi-round peels."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 60)
+    density = rng.uniform(0.15, 0.75)
+    negative_ratio = rng.uniform(0.2, 0.8)
+    graph = SignedGraph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                graph.add_edge(u, v, -1 if rng.random() < negative_ratio
+                               else 1)
+    return graph
+
+
+def core_orders(graph: SignedGraph, alive: int,
+                k: int) -> "tuple[list[int], list[int]]":
+    """The degeneracy order of ``graph``'s ``k``-core inside ``alive``,
+    once from the masks and once from the cached neighbour array (the
+    path MBC* runs); the two peels must keep the same core."""
+    unsigned = [p | q for p, q in zip(graph.pos_adjacency_bits(),
+                                      graph.neg_adjacency_bits())]
+    core_mask = k_core_active_mask(unsigned, k, alive)
+    members = bits_of(alive)
+    degree = degrees_inside(graph, members, alive)
+    offsets, targets = graph.neighbor_array()
+    inside = k_core_array(offsets, targets, k, members, degree)
+    core = [v for v in members if inside[v]]
+    assert core == bits_of(core_mask)
+    return (degeneracy_ordering_mask(unsigned, core_mask),
+            degeneracy_ordering_array(offsets, targets, core, degree))
 
 
 def assert_valid(clique: BalancedClique, graph: SignedGraph,
@@ -211,6 +252,39 @@ class TestOrderingRegression:
     def test_empty_graph(self):
         assert degeneracy_ordering(UnsignedGraph(0)) == []
         assert degeneracy_ordering(UnsignedGraph(3)) == [0, 1, 2]
+
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_array_order_equals_mask_order_on_stand_in_cores(self, name):
+        # The |C*|-core MBC*(G, 3) orders: VertexReduction survivors,
+        # then the core that can still beat the heuristic.
+        graph = load(name, scale=1.0)
+        alive = mask_of(vertex_reduction(graph, 3))
+        heuristic = mbc_heuristic(graph, 3, alive=alive)
+        required = max(heuristic.size + 1, 6)
+        mask_order, array_order = core_orders(graph, alive, required - 1)
+        assert array_order == mask_order
+
+    @pytest.mark.parametrize(
+        "seed", range(BASE_SEED, BASE_SEED + SWEEP, 10))
+    def test_array_order_equals_mask_order_on_seeded_graphs(self, seed):
+        for graph in (random_graph(seed), larger_graph(seed)):
+            for k in range(5):
+                mask_order, array_order = core_orders(
+                    graph, graph.all_bits(), k)
+                assert array_order == mask_order, (seed, k)
+
+
+class TestEgoPeelDifferential:
+    """The bitset ego steps decide core prunes on the global masks
+    before building ``g_u``; on larger graphs than the oracle sweeps,
+    that peel keeps exactly the vertices of the built network's
+    ``(required - 2)``-core and ``(bar, bar + 1)``-core."""
+
+    @pytest.mark.parametrize(
+        "seed", range(BASE_SEED, BASE_SEED + SWEEP, 10))
+    def test_global_mask_peels_match_network_cores(self, seed):
+        assert_ego_peels_match(larger_graph(seed), ks=range(1, 8),
+                               bars=range(5))
 
 
 class TestDynamicDifferential:
