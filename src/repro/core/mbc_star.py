@@ -30,7 +30,8 @@ from ..kernels import engine_spec, npmask, validate_engine
 from ..kernels.active import degeneracy_ordering_array, k_core_array
 from ..kernels.bitset import bits_of, mask_of
 from ..obs import Tracer, current_tracer
-from ..parallel.engine import mbc_ego_fanout, resolve_workers
+from ..parallel.engine import mbc_ego_fanout, pool_pays, resolve_workers
+from ..parallel.tasks import peel_costs, planned_later
 from ..resilience.budget import Budget, BudgetExceeded
 from ..signed.graph import SignedGraph
 from ..unsigned.cores import k_core_subset
@@ -101,11 +102,14 @@ def mbc_star(
         Number of worker processes for the ego-network sweep.  ``0`` or
         ``1`` run the serial sweep; larger values fan the per-vertex
         MDC instances out across a process pool with a shared incumbent
-        (:mod:`repro.parallel`).  Requires an engine whose registry
-        descriptor reports parallel support (bitset and numpy; the set
-        engine is serial-only); the optimum size is identical to the
-        serial sweep's.  ``check_only`` runs always stay serial (the
-        first witness ends the search, so there is nothing to fan out).
+        (:mod:`repro.parallel`) when the sweep is big enough to pay for
+        one (:func:`repro.parallel.engine.pool_pays`), and run the
+        serial sweep, witness and ``stats`` included, otherwise.
+        Requires an engine whose registry descriptor reports parallel
+        support (bitset and numpy; the set engine is serial-only); the
+        optimum size is identical to the serial sweep's.
+        ``check_only`` runs always stay serial (the first witness ends
+        the search, so there is nothing to fan out).
     trace:
         Optional :class:`repro.obs.Tracer`; defaults to the ambient
         tracer.  A traced run closes one ``mbc_star`` root span with
@@ -288,17 +292,29 @@ def _pipeline(
         else:
             order = core
         phase.set(n=len(order))
+        # The pool gate: the per-vertex instances of the sweep are
+        # order-independent, so a sweep big enough to pay for a process
+        # pool is dispatched to one (identical optimum size; see
+        # repro.parallel).  A task's cost is u's count of higher-ranked
+        # neighbours, which the degeneracy peel left in ``degree``.
+        # check_only stays serial: its contract is "stop at the first
+        # witness", which a fan-out cannot honour cheaply.
+        pays = False
+        if workers > 1 and not check_only:
+            pos_bits = working.pos_adjacency_bits()
+            neg_bits = working.neg_adjacency_bits()
+            if engine == "bitset" and ordering == "degeneracy":
+                later = degree
+            else:
+                later = planned_later(pos_bits, neg_bits, order)
+            costs = peel_costs(order, later, required - 1)
+            pays = pool_pays(costs, workers)
+            if tracer.enabled:
+                phase.set(work=sum(c * c for c in costs), pool=pays)
 
-    # Parallel fan-out: the per-vertex instances of the sweep below are
-    # order-independent, so with workers requested they are dispatched
-    # to a process pool instead (identical optimum size guaranteed; see
-    # repro.parallel).  check_only stays serial: its contract is "stop
-    # at the first witness", which a fan-out cannot honour cheaply.
-    if workers > 1 and engine_spec(engine).supports_parallel \
-            and not check_only:
+    if pays:
         return mbc_ego_fanout(
-            working.pos_adjacency_bits(), working.neg_adjacency_bits(),
-            n, tau, best, order, workers,
+            pos_bits, neg_bits, n, tau, best, order, workers,
             use_core=use_core, use_coloring=use_coloring, stats=stats,
             engine=engine, trace=tracer, budget=budget)
 

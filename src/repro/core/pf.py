@@ -22,12 +22,15 @@ paper's experimental line-up:
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from ..dichromatic.ego import DCC_STEPS, ego_adjacency, witness_members
 from ..kernels import engine_spec, npmask, validate_engine
 from ..kernels.active import degeneracy_ordering_array
 from ..kernels.bitset import bits_of, mask_of
 from ..obs import Tracer, current_tracer
-from ..parallel.engine import pf_round_fanout, resolve_workers
+from ..parallel.engine import pf_round_fanout, pool_pays, resolve_workers
+from ..parallel.tasks import peel_costs, planned_later
 from ..resilience.budget import Budget, BudgetExceeded
 from ..signed.graph import SignedGraph
 from ..unsigned.graph import UnsignedGraph
@@ -210,8 +213,10 @@ def pf_star(
         :func:`repro.parallel.engine.pf_round_fanout`, which asks the
         +1 questions of all still-viable vertices concurrently and
         iterates until the bar stops rising — the fixpoint is exactly
-        ``beta(G)``.  Requires an engine with parallel support (bitset
-        or numpy).
+        ``beta(G)`` — when the sweep is big enough to pay for a pool
+        (:func:`repro.parallel.engine.pool_pays`), and the serial
+        sweep, witness and ``stats`` included, otherwise.  Requires an
+        engine with parallel support (bitset or numpy).
     budget:
         Optional :class:`repro.resilience.Budget` (anytime contract):
         the heuristic always runs, then the budget is checked per ego
@@ -289,34 +294,59 @@ def _pf_pipeline(
         alive = mask_of(survivors)
         phase.set(kept=len(survivors))
 
-    # Line 3: total ordering of G[alive].
+    # Line 3: total ordering of G[alive].  With workers requested,
+    # ``later[v]`` collects v's count of neighbours after it in the
+    # order, the cost of its task at the pool gate below.
+    pooling = workers > 1
+    later = [0] * n if pooling else []
     with tracer.span("ordering", kind=ordering) as phase:
         pn: "list[int] | None" = None
         if ordering == "polarization":
-            order, pn = polar_core_numbers(graph, alive)
+            # PDecompose's clamped degrees bound the count from above
+            # (see polar_core_numbers); the gate is calibrated on them.
+            order, pn = polar_core_numbers(
+                graph, alive, later=later if pooling else None)
         elif engine == "bitset":
             members = bits_of(alive)
             offsets, targets = graph.neighbor_array()
+            degree = degrees_inside(graph, members, alive)
             order = degeneracy_ordering_array(
-                offsets, targets, members,
-                degrees_inside(graph, members, alive))
+                offsets, targets, members, degree)
+            later = degree
         elif engine == "numpy":
             unsigned_mat = (graph.pos_adjacency_matrix()
                             | graph.neg_adjacency_matrix())
             order = npmask.degeneracy_ordering(
                 unsigned_mat, npmask.row_from_mask(alive, n))
+            if pooling:
+                later = planned_later(graph.pos_adjacency_bits(),
+                                      graph.neg_adjacency_bits(), order)
         else:
             order = degeneracy_ordering(
                 UnsignedGraph.from_signed(graph), survivors)
         phase.set(n=len(order))
+        # The pool gate: rounds of concurrent +1 questions instead of
+        # the serial sweep (identical beta(G); see repro.parallel) when
+        # the questions the sweep can ask -- those with pn(u) > tau*,
+        # a suffix of the polarization order (Lemma 5) -- pay for a
+        # pool.  Smaller sweeps run the serial loop below.  (Every
+        # survivor of VertexReduction(tau* + 1) has pn > tau*, so the
+        # suffix is the whole order unless that reduction changes.)
+        pays = False
+        if pooling:
+            start = 0 if pn is None else bisect_right(
+                order, tau_star, key=pn.__getitem__)
+            costs = peel_costs(order[start:], later)
+            pays = pool_pays(costs, workers)
+            if tracer.enabled:
+                phase.set(work=sum(c * c for c in costs), pool=pays)
 
-    # Parallel fan-out: rounds of concurrent +1 questions instead of
-    # the serial sweep (identical beta(G); see repro.parallel).
-    if workers > 1 and engine_spec(engine).supports_parallel:
+    if pays:
         return pf_round_fanout(
             graph.pos_adjacency_bits(), graph.neg_adjacency_bits(), n,
             order, pn, tau_star, witness, workers,
-            stats=stats, engine=engine, trace=tracer, budget=budget)
+            stats=stats, engine=engine, trace=tracer, budget=budget,
+            costs=costs)
 
     # Lines 4-8: reverse-order sweep, one +1 feasibility question per
     # vertex (Lemma 4) through the DCC ego step of

@@ -186,7 +186,8 @@ def edge_reduction_fast(graph: SignedGraph, tau: int) -> SignedGraph:
 
 
 def polar_core_numbers(
-    graph: SignedGraph, alive: int | None = None
+    graph: SignedGraph, alive: int | None = None,
+    later: "list[int] | None" = None,
 ) -> tuple[list[int], list[int]]:
     """``PDecompose`` (Algorithm 5): polarization order + ``pn`` values.
 
@@ -209,7 +210,11 @@ def polar_core_numbers(
 
     Returns ``(order, pn)``: ``order`` lists the (alive) vertices in
     non-decreasing ``pn`` (the *polarization order*), ``pn[v]`` is the
-    polar-core number of ``v`` (``0`` outside ``alive``).
+    polar-core number of ``v`` (``0`` outside ``alive``).  A ``later``
+    list (length ``n``) receives, for each ordered vertex, its two
+    degrees when it was peeled.  The clamp skips decrements, so their
+    sum bounds ``v``'s count of neighbours after it in ``order`` from
+    above, by at most ``pn[v]`` per side.
     """
     n = graph.num_vertices
     if alive is None:
@@ -264,6 +269,9 @@ def polar_core_numbers(
                 neg_deg[v] = key
                 if key <= pos_deg[v]:
                     heapq.heappush(heap, key * n + v)
+    if later is not None:
+        for v in order:
+            later[v] = pos_deg[v] + neg_deg[v]
     return order, pn
 
 

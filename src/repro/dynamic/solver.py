@@ -426,21 +426,18 @@ class DynamicSolver:
     ) -> "tuple[list[_Resolved], bool]":
         """Re-solve ``queue`` through the parallel dispatch machinery.
 
-        Runs in-process below the pool thresholds (including always at
+        Runs in-process below the pool gate (including always at
         ``workers == 1``), so bitset and numpy share one code path
         with the pooled case.  Returns the delivered ``(u, upper,
         members)`` outcomes and whether every queued ego was processed.
         """
-        work_estimate = 0
-        for u in queue:
-            allowed = self._allowed[u]
-            cost = (self._pos_bits[u] & allowed).bit_count() + \
-                (self._neg_bits[u] & allowed).bit_count()
-            work_estimate += cost * cost
+        costs = [(self._pos_bits[u] & self._allowed[u]).bit_count()
+                 + (self._neg_bits[u] & self._allowed[u]).bit_count()
+                 for u in queue] if self._workers > 1 else []
         return dynamic_ego_fanout(
             self._pos_bits, self._neg_bits, self._n, self._tau,
             floor, queue, self._order, self._workers,
-            work_estimate=work_estimate, use_core=self._use_core,
+            costs=costs, use_core=self._use_core,
             use_coloring=self._use_coloring, budget=budget,
             engine=self._engine)
 

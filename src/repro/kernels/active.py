@@ -240,7 +240,8 @@ def degeneracy_ordering_array(offsets: "array[int]", targets: "array[int]",
     ``(offsets, targets)`` is a graph's
     :meth:`~repro.signed.graph.SignedGraph.neighbor_array`;
     ``members`` lists the induced subgraph's vertices ascending and
-    ``degree[v]`` their degrees inside it (consumed).  The peel walks
+    ``degree[v]`` their degrees inside it; on return ``degree[v]`` is
+    ``v``'s count of neighbours after it in the order.  The peel walks
     array slices, one machine-word read per edge, and returns the
     order :func:`degeneracy_ordering_mask` gives on the same subgraph.
     """
@@ -255,9 +256,10 @@ def degeneracy_peel(members: list[int], degree: list[int],
     """The bucket-queue loop behind both degeneracy orderings.
 
     ``members`` are the subgraph's vertices ascending, ``degree[v]``
-    their degrees inside it (updated in place) and ``neighbors[v]``
-    their ascending neighbours; neighbours outside ``members`` are
-    skipped.  Ties break by bucket insertion order, so equal inputs
+    their degrees inside it (updated in place; an entry freezes when
+    its vertex is peeled, at its count of later neighbours) and
+    ``neighbors[v]`` their ascending neighbours; neighbours outside
+    ``members`` are skipped.  Ties break by bucket insertion order, so equal inputs
     give equal orders whatever representation fed them.
     """
     if not members:

@@ -13,6 +13,7 @@ from .engine import (
     MIN_POOL_TASKS,
     mbc_ego_fanout,
     pf_round_fanout,
+    pool_pays,
     preferred_start_method,
     resolve_workers,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "MIN_POOL_TASKS",
     "mbc_ego_fanout",
     "pf_round_fanout",
+    "pool_pays",
     "preferred_start_method",
     "resolve_workers",
     "SharedIncumbent",

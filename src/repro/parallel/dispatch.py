@@ -165,8 +165,9 @@ class ResilientDispatcher:
 
     One dispatcher serves one solve (it may run several :meth:`run`
     batches, e.g. PF* rounds, over the same pool).  ``want_pool``
-    False keeps everything in-process — the thresholds
-    (``MIN_POOL_TASKS`` etc.) stay the caller's decision.
+    False keeps everything in-process — the pool gate
+    (:func:`~repro.parallel.engine.pool_pays`) stays the caller's
+    decision.
     """
 
     def __init__(self, workers: int, ctx_obj: WorkerContext,

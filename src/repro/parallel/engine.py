@@ -18,16 +18,22 @@ serial engines regardless of scheduling:
 * the parent aggregates every worker's best witness and takes the
   maximum.
 
-Pool strategy: a fresh pool per solve, preferring the ``fork`` start
-method — the parent installs the :class:`~repro.parallel.worker.
-WorkerContext` in a module global first, so the children inherit the
-adjacency masks through the address-space copy and nothing is pickled
-at all (the ISSUE's "shipped at pool start, not per-task pickles").
-Platforms without ``fork`` fall back to ``spawn`` with the context
-packed into compact byte blobs; if no pool can be created at all, the
-same chunk runners execute in-process, which is also what tiny
-workloads get (``MIN_POOL_TASKS``) since a pool costs ~10–20 ms to
-spin up.
+Pool strategy: the solvers decide once, before any fan-out starts,
+whether a pool pays (:func:`pool_pays`).  Creating and closing a fork
+pool takes longer than a whole pruned stand-in sweep, so the gate asks
+for ``MIN_POOL_TASKS`` tasks and a ``MIN_POOL_WORK`` candidate-count
+estimate, calibrated from the crossover table in EXPERIMENTS.md
+("Pool crossover").  Below it ``mbc_star`` and
+``pf_star`` run their serial sweep, witnesses and ``SearchStats``
+included.  Above it a fresh pool serves the solve, preferring the
+``fork`` start method — the parent installs the
+:class:`~repro.parallel.worker.WorkerContext` in a module global first,
+so the children inherit the adjacency masks through the address-space
+copy and nothing is pickled at all.  Platforms without ``fork`` fall
+back to ``spawn`` with the context packed into compact byte blobs; if
+no pool can be created at all, the same chunk runners execute
+in-process.  The in-process runner is also the dynamic solver's serial
+path.
 
 All pool mechanics live in :class:`~repro.parallel.dispatch.
 ResilientDispatcher` (see :mod:`repro.parallel.dispatch`): chunks are
@@ -42,6 +48,7 @@ deadline even while the work sits in worker processes.
 from __future__ import annotations
 
 import multiprocessing
+from typing import Sequence
 
 from ..core.result import BalancedClique
 from ..core.stats import SearchStats
@@ -49,13 +56,13 @@ from ..obs import Tracer, current_tracer
 from ..resilience.budget import Budget, BudgetExceeded
 from .dispatch import ResilientDispatcher, preferred_start_method
 from .incumbent import SharedIncumbent
-from .tasks import chunk_vertices, cost_ordered, estimated_work, \
-    is_viable, plan_tasks
+from .tasks import chunk_vertices, cost_ordered, is_viable, plan_tasks
 from .worker import WorkerContext, install_context, \
     run_dcc_chunk_task, run_dynamic_chunk_task, run_mdc_chunk_task
 
 __all__ = [
     "resolve_workers",
+    "pool_pays",
     "preferred_start_method",
     "mbc_ego_fanout",
     "pf_round_fanout",
@@ -64,15 +71,33 @@ __all__ = [
     "MIN_POOL_WORK",
 ]
 
-#: Below this many dispatchable tasks the plan runs in-process: pool
-#: startup (~10-20 ms) would dominate the sweep itself.
+#: Below this many dispatchable tasks a pool cannot pay for itself:
+#: each worker needs several chunks to amortize its start.
 MIN_POOL_TASKS = 24
 
-#: Minimum :func:`~repro.parallel.tasks.estimated_work` before a pool
-#: is worth its startup + IPC cost.  A sweep below this finishes in a
-#: few milliseconds serially, so even on a many-core machine a pool is
-#: a net loss for it.
-MIN_POOL_WORK = 150_000
+#: Minimum ``sum(cost^2)`` over the tasks' candidate counts before a
+#: pool is worth its startup and IPC cost.  Each instance's
+#: branch-and-bound cost grows superlinearly with its candidate count,
+#: so the squared count separates sweeps worth a pool from sweeps that
+#: pool startup would dominate far better than the task count does.
+#: Calibrated on 2 vCPUs by ``benchmarks/bench_pool_crossover.py``
+#: (EXPERIMENTS.md, "Pool crossover"): the pool beat the serial sweep
+#: at no estimate up to 8.3M, so the gate opens at the next million.
+MIN_POOL_WORK = 9_000_000
+
+
+def pool_pays(costs: Sequence[int], workers: int) -> bool:
+    """Whether a fan-out over tasks with candidate counts ``costs``
+    should start a process pool.
+
+    The one pool decision of the package: ``mbc_star`` and ``pf_star``
+    call their fan-out only when it holds (and run the serial sweep
+    otherwise), and the fan-outs ask it again before creating a pool.
+    Both thresholds are read from the module at call time, so setting
+    them to 0 forces a pool for any task list.
+    """
+    return (workers > 1 and len(costs) >= MIN_POOL_TASKS
+            and sum(c * c for c in costs) >= MIN_POOL_WORK)
 
 
 def resolve_workers(parallel: int | None) -> int:
@@ -162,8 +187,7 @@ def mbc_ego_fanout(
         engine=engine)
     chunks = chunk_vertices([t.u for t in viable], workers)
 
-    want_pool = (workers > 1 and len(viable) >= MIN_POOL_TASKS
-                 and estimated_work(viable) >= MIN_POOL_WORK)
+    want_pool = pool_pays([t.cost for t in viable], workers)
     dispatcher = ResilientDispatcher(workers, ctx_obj,
                                      want_pool=want_pool)
     try:
@@ -220,7 +244,7 @@ def dynamic_ego_fanout(
     egos: list[int],
     order: list[int],
     workers: int,
-    work_estimate: int = 0,
+    costs: Sequence[int] = (),
     use_core: bool = True,
     use_coloring: bool = True,
     stats: SearchStats | None = None,
@@ -236,10 +260,10 @@ def dynamic_ego_fanout(
     of anchors whose cached bounds cannot rule them out and ``floor``
     the incumbent size certified by cached witnesses.  Unlike it, the
     task set is explicit rather than planned from an ordering.
-    ``work_estimate`` is the solver's own cost forecast for ``egos``
-    (it already holds per-ego candidate counts, so re-planning tasks
-    here would be an O(n) scan per solve); it only gates pool creation
-    against ``MIN_POOL_WORK``.
+    ``costs`` are the solver's own candidate counts for ``egos`` (it
+    already holds per-ego allowed masks, so re-planning tasks here
+    would be an O(n) scan per solve); they only gate pool creation
+    through :func:`pool_pays`.
 
     Returns ``(outcomes, completed)``; each outcome is the worker's
     ``(u, certified upper, members-or-None)`` triple.  Outcomes are
@@ -265,8 +289,7 @@ def dynamic_ego_fanout(
         want_stats=want_accounting, want_trace=tracer.enabled,
         engine=engine)
     chunks = chunk_vertices(egos, workers)
-    want_pool = (workers > 1 and len(egos) >= MIN_POOL_TASKS
-                 and work_estimate >= MIN_POOL_WORK)
+    want_pool = pool_pays(costs, workers)
     dispatcher = ResilientDispatcher(workers, ctx_obj,
                                      want_pool=want_pool)
     outcomes: "list[tuple[int, int, list[tuple[int, bool]] | None]]" = []
@@ -321,6 +344,7 @@ def pf_round_fanout(
     trace: Tracer | None = None,
     budget: "Budget | None" = None,
     engine: str = "bitset",
+    costs: Sequence[int] = (),
 ) -> tuple[int, BalancedClique]:
     """Run PF*'s DCC sweep as rounds of parallel +1 questions.
 
@@ -332,14 +356,16 @@ def pf_round_fanout(
     good, while successes raise ``tau*`` and stay pending.  The
     fixpoint is exactly ``beta(G) = max_u gamma(g_u)``, independent of
     scheduling — each round needs only monotone bars, which the shared
-    incumbent guarantees.  A live ``trace`` wraps each round in a
-    ``round`` span and absorbs the workers' trace deltas under it.
+    incumbent guarantees.  A live ``trace`` wraps the rounds in one
+    ``fanout`` span, each round in a ``round`` span, and absorbs the
+    workers' trace deltas under it.
     A ``budget`` stops between rounds or between a round's chunks;
     ``tau_star``/``witness`` are only advanced together after a full
     round, so the truncated return is always a certified pair.
     The graph arrives as its adjacency masks over ``n`` vertices and
     ``engine`` selects the worker-side kernel backend, as in
-    :func:`mbc_ego_fanout`.
+    :func:`mbc_ego_fanout`.  ``costs`` are the candidate counts the
+    caller gated on; a pool starts only when :func:`pool_pays` them.
     """
     tracer = trace if trace is not None else current_tracer()
     method = preferred_start_method()
@@ -365,9 +391,8 @@ def pf_round_fanout(
         pn_map = dict(enumerate(pn))
 
     pending = [u for u in reversed(order)]
-    want_pool = workers > 1 and len(pending) >= MIN_POOL_TASKS
     dispatcher = ResilientDispatcher(workers, ctx_obj,
-                                     want_pool=want_pool)
+                                     want_pool=pool_pays(costs, workers))
     # The bar certified by *delivered* successes.  On a pool failure
     # the incumbent drops back to this floor: a lost chunk may have
     # published a bar it can no longer prove, and its re-run (asked at
@@ -375,60 +400,79 @@ def pf_round_fanout(
     # answered — silently losing the optimum.
     certified = tau_star
     try:
-        while True:
-            if budget is not None:
-                budget.check()
-            # Lemma 5: pn(u) bounds gamma(g_u); once the bar passes it,
-            # the vertex can never answer a +1 question positively.
-            # A vertex absent from pn was dropped by PDecompose's own
-            # reduction, so it gets the no-op default tau_star + 1 and
-            # the DCC question decides (it bounds, never filters, so a
-            # loose default costs one question, not correctness).
-            if pn_map is not None:
-                pending = [u for u in pending
-                           if pn_map.get(u, tau_star + 1) > tau_star]
-            if not pending:
-                break
-            if stats is not None:
-                stats.vertices_examined += len(pending)
-            payloads = [(tau_star, chunk)
-                        for chunk in chunk_vertices(pending, workers)]
-            round_successes: list[tuple[int, int, list]] = []
-            with tracer.span("round", bar=tau_star,
-                             pending=len(pending)) as round_span:
-                for successes, chunk_stats, buffer, _examined \
-                        in dispatcher.run(
-                            run_dcc_chunk_task, payloads, budget=budget,
-                            on_recover=lambda:
-                                incumbent.reset(certified)):
-                    if chunk_stats is not None and stats is not None:
-                        stats.merge(chunk_stats)
-                    _charge_chunk(budget, chunk_stats)
-                    if buffer is not None:
-                        tracer.absorb(buffer)
-                    round_successes.extend(successes)
-                    for _u, bar, _m in successes:
-                        certified = max(certified, bar + 1)
-                round_span.set(successes=len(round_successes))
-            if not round_successes:
-                break
-            new_tau = max(bar + 1 for _u, bar, _m in round_successes)
-            # Deterministic witness: among the successes proving the
-            # new bar, keep the earliest vertex in dispatch order.
-            position = {u: i for i, u in enumerate(pending)}
-            top = min(
-                (s for s in round_successes if s[1] + 1 == new_tau),
-                key=lambda s: position[s[0]])
-            u, _bar, members = top
-            witness = BalancedClique.from_anchor(u, members)
-            tau_star = new_tau
-            incumbent.improve(tau_star)
-            survivors = {s[0] for s in round_successes}
-            pending = [u for u in pending if u in survivors]
-    except BudgetExceeded:
-        # Anytime: the (tau_star, witness) pair from the last full
-        # round is certified; in-flight round work is abandoned.
-        dispatcher.abort()
+        with tracer.span("fanout", tasks=len(pending),
+                         workers=workers) as fan_span:
+            try:
+                while True:
+                    if budget is not None:
+                        budget.check()
+                    # Lemma 5: pn(u) bounds gamma(g_u); once the bar
+                    # passes it, the vertex can never answer a +1
+                    # question positively.  A vertex absent from pn was
+                    # dropped by PDecompose's own reduction, so it gets
+                    # the no-op default tau_star + 1 and the DCC
+                    # question decides (it bounds, never filters, so a
+                    # loose default costs one question, not
+                    # correctness).
+                    if pn_map is not None:
+                        pending = [u for u in pending
+                                   if pn_map.get(u, tau_star + 1)
+                                   > tau_star]
+                    if not pending:
+                        break
+                    if stats is not None:
+                        stats.vertices_examined += len(pending)
+                    payloads = [(tau_star, chunk) for chunk
+                                in chunk_vertices(pending, workers)]
+                    round_successes: list[tuple[int, int, list]] = []
+                    with tracer.span("round", bar=tau_star,
+                                     pending=len(pending)) as round_span:
+                        for successes, chunk_stats, buffer, _examined \
+                                in dispatcher.run(
+                                    run_dcc_chunk_task, payloads,
+                                    budget=budget,
+                                    on_recover=lambda:
+                                        incumbent.reset(certified)):
+                            if chunk_stats is not None \
+                                    and stats is not None:
+                                stats.merge(chunk_stats)
+                            _charge_chunk(budget, chunk_stats)
+                            if buffer is not None:
+                                tracer.absorb(buffer)
+                            round_successes.extend(successes)
+                            for _u, bar, _m in successes:
+                                certified = max(certified, bar + 1)
+                        round_span.set(successes=len(round_successes))
+                    if not round_successes:
+                        break
+                    new_tau = max(bar + 1
+                                  for _u, bar, _m in round_successes)
+                    # Deterministic witness: among the successes
+                    # proving the new bar, keep the earliest vertex in
+                    # dispatch order.
+                    position = {u: i for i, u in enumerate(pending)}
+                    top = min(
+                        (s for s in round_successes
+                         if s[1] + 1 == new_tau),
+                        key=lambda s: position[s[0]])
+                    u, _bar, members = top
+                    witness = BalancedClique.from_anchor(u, members)
+                    tau_star = new_tau
+                    incumbent.improve(tau_star)
+                    survivors = {s[0] for s in round_successes}
+                    pending = [u for u in pending if u in survivors]
+            except BudgetExceeded:
+                # Anytime: the (tau_star, witness) pair from the last
+                # full round is certified; in-flight round work is
+                # abandoned.
+                dispatcher.abort()
+            if tracer.enabled:
+                report = dispatcher.report
+                fan_span.set(pooled=report.pooled,
+                             rebuilds=report.rebuilds,
+                             degraded=report.degraded)
+                if budget is not None:
+                    fan_span.set(status=budget.status.value)
     finally:
         dispatcher.close()
         install_context(None)

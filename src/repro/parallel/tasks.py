@@ -10,13 +10,16 @@ optimum, because for any clique the task anchored at its lowest-ranked
 member contains the whole clique.
 
 This module turns an ordering into an explicit task list and applies
-the two dispatcher-side policies of the engine:
+the dispatcher-side policies of the engine:
 
 * **pre-dispatch bound** (:func:`is_viable`) — a task whose candidate
   counts already show it cannot beat the incumbent is dropped without
   ever building its ego network (three popcounts per task, versus the
   full network build + core reduction the serial sweep pays before its
   first size check);
+* **the pool gate's costs** (:func:`peel_costs`) — each task's
+  candidate count, as read off the ordering peel, for
+  :func:`repro.parallel.engine.pool_pays`;
 * **cost ordering** (:func:`cost_ordered`) — largest candidate sets
   first, so the expensive instances cannot land last on one straggler
   worker, and the cliques most likely to raise the shared incumbent
@@ -26,13 +29,15 @@ the two dispatcher-side policies of the engine:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 __all__ = [
     "EgoTask",
     "plan_tasks",
     "cost_ordered",
     "is_viable",
-    "estimated_work",
+    "peel_costs",
+    "planned_later",
     "chunk_vertices",
     "suffix_masks",
 ]
@@ -102,16 +107,27 @@ def is_viable(task: EgoTask, required: int, tau: int) -> bool:
             and task.neg_count >= tau)
 
 
-def estimated_work(tasks: list[EgoTask]) -> int:
-    """Aggregate sweep-cost estimate, ``sum(cost^2)``.
+def peel_costs(order: list[int], later: "Sequence[int]",
+               minimum: int = 0) -> list[int]:
+    """Per-task candidate counts for the pool gate, read off a peel.
 
-    Each instance's branch-and-bound cost grows superlinearly with its
-    candidate-set size, so the squared cost separates sweeps worth a
-    pool from sweeps that would be dominated by pool startup far more
-    reliably than the task count does (many tiny tasks are still a
-    cheap sweep).
+    ``later[v]`` is ``v``'s count of neighbours ranked after it in
+    ``order``: what the degeneracy peel leaves in its degree list, and
+    so exactly :func:`plan_tasks`' ``pos_count + neg_count`` for ``v``,
+    without a second pass over the masks.  Tasks with fewer than
+    ``minimum`` candidates are left out.
     """
-    return sum(t.cost * t.cost for t in tasks)
+    return [c for c in map(later.__getitem__, order) if c >= minimum]
+
+
+def planned_later(pos_bits: list[int], neg_bits: list[int],
+                  order: list[int]) -> list[int]:
+    """``later`` for :func:`peel_costs` from :func:`plan_tasks`: the
+    fallback for orderings whose peel leaves no such counts behind."""
+    later = [0] * len(pos_bits)
+    for task in plan_tasks(pos_bits, neg_bits, order):
+        later[task.u] = task.cost
+    return later
 
 
 def chunk_vertices(

@@ -44,6 +44,7 @@ from repro.kernels.active import bicore_active_mask, \
     coloring_upper_bound_active_mask, degeneracy_ordering_mask, \
     degree_in_active, intersect_active, k_core_active_mask
 from repro.kernels.bitset import bits_of, mask_of, masks_to_bytes
+from repro.parallel import engine as engine_module
 from repro.signed.graph import SignedGraph
 from repro.unsigned.graph import UnsignedGraph
 
@@ -209,12 +210,13 @@ class TestGmbcDifferential:
 class TestWorkerMatrix:
     """(engine x workers) differential matrix for the fan-out engine.
 
-    workers=1 is the serial sweep; 2 and 4 fan out (in-process below
-    ``MIN_POOL_TASKS``, real pools above it — both code paths are
-    covered because the random graphs straddle the threshold).  The
-    engine axis covers every available parallel-capable backend
-    (bitset, plus numpy when installed).  All cells must report
-    identical optimum sizes with structurally valid witnesses.
+    workers=1 is the serial sweep.  The random graphs all sit below the
+    pool gate (``pool_pays``), so at 2 and 4 workers the solvers run the
+    serial sweep too; the forced-pool cell zeroes the gate's thresholds
+    so the same graphs go through real pools.  The engine axis covers
+    every available parallel-capable backend (bitset, plus numpy when
+    installed).  All cells must report identical optimum sizes with
+    structurally valid witnesses.
     """
 
     WORKERS = [1, 2, 4]
@@ -243,6 +245,23 @@ class TestWorkerMatrix:
             assert beta == reference
             assert_valid(witness, graph, 0)
             assert witness.polarization >= beta
+
+    @pytest.mark.parametrize("engine", PARALLEL_ENGINES)
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_forced_pool_same_answers(self, seed, engine, monkeypatch):
+        monkeypatch.setattr(engine_module, "MIN_POOL_TASKS", 0)
+        monkeypatch.setattr(engine_module, "MIN_POOL_WORK", 0)
+        graph = random_signed_graph(seed)
+        tau = seed % 4
+        reference = mbc_star(graph, tau, engine="set")
+        beta = pf_star(graph, engine="set")
+        for workers in self.WORKERS[1:]:
+            clique = mbc_star(graph, tau, engine=engine,
+                              parallel=workers)
+            assert clique.size == reference.size
+            assert_valid(clique, graph, tau)
+            assert pf_star(graph, engine=engine,
+                           parallel=workers) == beta
 
     @pytest.mark.parametrize("engine", PARALLEL_ENGINES)
     @pytest.mark.parametrize("seed", [4, 13])

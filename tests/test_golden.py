@@ -7,9 +7,12 @@ A serial solve must reproduce them exactly — size, beta *and* the
 sorted sides — so a preprocessing change that moves a tie-break shows
 up here rather than as a silent witness drift.  The serial numpy engine
 runs the same ego steps on mask matrices and must reproduce the same
-witnesses.  The set engine may legitimately break ties differently,
-and parallel fan-outs pick their witness by arrival order, so for
-``engine="set"`` and ``parallel=2`` only the size and beta are pinned.
+witnesses.  Every stand-in sits below the pool gate
+(:func:`repro.parallel.engine.pool_pays`), so ``parallel=2`` runs the
+serial sweep and must reproduce them too, counters included, without
+a ``fanout`` or ``round`` span.  The set engine may legitimately break
+ties differently, so for ``engine="set"`` only the size and beta are
+pinned.
 
 ``PINNED_COUNTERS`` pins the serial bitset :class:`SearchStats` of
 both solvers on four stand-ins: examined vertices, launched instances,
@@ -33,6 +36,7 @@ from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_star
 from repro.core.stats import SearchStats
 from repro.datasets.registry import dataset_names, load
+from repro.obs import get_tracer
 
 from .conftest import requires_numpy
 
@@ -93,6 +97,28 @@ def test_parallel_sizes_exact(graphs, name):
     got = _answers(graphs[name], parallel=2)
     assert got["mbc"]["size"] == GOLDEN[name]["mbc"]["size"]
     assert got["pf"]["beta"] == GOLDEN[name]["pf"]["beta"]
+
+
+@pytest.mark.parametrize("name", dataset_names())
+def test_parallel_witnesses_exact(graphs, name):
+    assert _answers(graphs[name], parallel=2) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", dataset_names())
+def test_parallel_below_gate_runs_the_serial_sweep(graphs, name):
+    graph = graphs[name]
+    for problem in ("mbc", "pf"):
+        serial, fanned = SearchStats(), SearchStats()
+        tracer = get_tracer(True)
+        if problem == "mbc":
+            mbc_star(graph, TAU, stats=serial)
+            mbc_star(graph, TAU, stats=fanned, parallel=2, trace=tracer)
+        else:
+            pf_star(graph, stats=serial)
+            pf_star(graph, stats=fanned, parallel=2, trace=tracer)
+        assert fanned == serial, problem
+        names = {record["name"] for record in tracer.records}
+        assert not names & {"fanout", "round"}, problem
 
 
 @pytest.mark.parametrize("name", dataset_names())

@@ -46,6 +46,7 @@ from repro.obs.metrics import (
     Counter,
     Histogram,
 )
+from repro.parallel import engine as engine_module
 
 
 class FakeClock:
@@ -501,7 +502,11 @@ class TestSolverTraces:
         root = [r for r in tracer.records if r["name"] == "pf_star"][0]
         assert root["attrs"]["beta"] == beta == 2
 
-    def test_parallel_solve_merges_worker_spans(self):
+    def test_parallel_solve_merges_worker_spans(self, monkeypatch):
+        # The graph is below the pool gate; force a real pool so the
+        # worker spans have something to merge into.
+        monkeypatch.setattr(engine_module, "MIN_POOL_TASKS", 0)
+        monkeypatch.setattr(engine_module, "MIN_POOL_WORK", 0)
         graph = sweeping_graph()
         serial = mbc_star(graph, 1, engine="bitset")
         tracer = get_tracer(True)

@@ -6,30 +6,41 @@ Three layers:
   chunking, suffix masks) against the serial sweep's accumulation;
 * the plumbing (shared incumbent semantics, byte-blob mask round-trip,
   worker-context pack/unpack for spawn pools);
+* the pool gate (:func:`~repro.parallel.engine.pool_pays`) and the
+  per-task costs MBC* and PF* feed it;
 * end-to-end equivalence of the fan-out engines against the serial
-  sweeps, through the in-process fallback, a real ``fork`` pool
-  (``MIN_POOL_TASKS`` monkeypatched to 0 so small graphs still
-  dispatch) and a forced ``spawn`` pool.
+  sweeps, below the gate, through the in-process fallback, a real
+  ``fork`` pool (``MIN_POOL_TASKS`` and ``MIN_POOL_WORK``
+  monkeypatched to 0 so small graphs still dispatch) and a forced
+  ``spawn`` pool.
 """
 
+import math
 import multiprocessing
 import random
 
 import pytest
 
+from repro.core import pf as pf_module
 from repro.core.gmbc import gmbc_star
+from repro.core.heuristic import mbc_heuristic
 from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_star
+from repro.core.reductions import degrees_inside, polar_core_numbers, \
+    vertex_reduction
 from repro.core.result import BalancedClique
 from repro.core.stats import SearchStats
+from repro.datasets.registry import load
+from repro.kernels.active import degeneracy_ordering_array, k_core_array
 from repro.kernels.bitset import mask_of, mask_stride, masks_from_bytes, \
     masks_to_bytes
+from repro.obs import get_tracer
 from repro.parallel import dispatch as dispatch_module
 from repro.parallel import engine as engine_module
-from repro.parallel.engine import resolve_workers
+from repro.parallel.engine import pool_pays, resolve_workers
 from repro.parallel.incumbent import SharedIncumbent
 from repro.parallel.tasks import EgoTask, chunk_vertices, cost_ordered, \
-    is_viable, plan_tasks, suffix_masks
+    is_viable, peel_costs, plan_tasks, planned_later, suffix_masks
 from repro.parallel.worker import WorkerContext
 from repro.signed.graph import SignedGraph
 
@@ -117,6 +128,112 @@ class TestTaskPlanning:
         assert resolve_workers(4) == 4
 
 
+def costs_with_work(work: int, count: int) -> list[int]:
+    """``count`` task costs whose squares sum to exactly ``work``."""
+    costs = []
+    while work:
+        cost = math.isqrt(work)
+        costs.append(cost)
+        work -= cost * cost
+    assert len(costs) <= count
+    return costs + [0] * (count - len(costs))
+
+
+class TestPoolGate:
+    def test_pool_pays_at_the_boundaries(self):
+        tasks = engine_module.MIN_POOL_TASKS
+        work = engine_module.MIN_POOL_WORK
+        assert pool_pays(costs_with_work(work, tasks), 2)
+        # One task or one unit of work short of a threshold: no pool.
+        assert not pool_pays(costs_with_work(work, tasks - 1), 2)
+        assert not pool_pays(costs_with_work(work - 1, tasks), 2)
+        # Ample work never buys a pool for a single worker.
+        assert not pool_pays(costs_with_work(work, tasks), 1)
+        assert pool_pays(costs_with_work(4 * work, 4 * tasks), 4)
+
+    def test_thresholds_read_at_call_time(self, pool_always):
+        # The pool_always fixture zeroes both module constants; the
+        # gate must see them, or forced-pool tests would run serially.
+        assert pool_pays([], 2)
+        assert not pool_pays([], 1)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mbc_peel_estimate_matches_planned_tasks(self, seed):
+        # The MBC* gate reads each task's candidate count off the
+        # degeneracy peel of the |C*|-core; it must equal the count
+        # plan_tasks gets from the masks, task for task.
+        graph = random_signed_graph(seed, n=30 + 3 * seed,
+                                    density=0.15 + 0.02 * seed)
+        required = 2 + seed % 5
+        members = list(graph.vertices())
+        degree = degrees_inside(graph, members, graph.all_bits())
+        offsets, targets = graph.neighbor_array()
+        inside = k_core_array(offsets, targets, required - 1, members,
+                              degree)
+        core = [v for v in members if inside[v]]
+        order = degeneracy_ordering_array(offsets, targets, core, degree)
+        costs = peel_costs(order, degree, required - 1)
+        planned = [t.cost for t in plan_tasks(
+            graph.pos_adjacency_bits(), graph.neg_adjacency_bits(), order)
+            if t.cost + 1 >= required]
+        assert sorted(costs) == sorted(planned)
+        assert sum(c * c for c in costs) == sum(c * c for c in planned)
+        assert planned_later(graph.pos_adjacency_bits(),
+                             graph.neg_adjacency_bits(), order) \
+            == [degree[v] if inside[v] else 0 for v in members]
+
+    @pytest.mark.parametrize("reduce", [True, False],
+                             ids=["reduced", "unreduced"])
+    @pytest.mark.parametrize("graph", [
+        load("bitcoin"), random_signed_graph(2, n=45),
+        random_signed_graph(6, n=60, density=0.2)],
+        ids=["bitcoin", "seed2", "seed6"])
+    def test_pf_costs_cover_only_askable_vertices(self, graph, reduce,
+                                                  monkeypatch):
+        # Every survivor of VertexReduction(tau* + 1) has pn > tau*, so
+        # the unreduced cells skip the reduction to put vertices with
+        # pn <= tau* into the order: the gate must leave them out, as
+        # the serial sweep's Lemma 5 break does.
+        if not reduce:
+            monkeypatch.setattr(pf_module, "vertex_reduction",
+                                lambda g, _tau: set(g.vertices()))
+        seen = []
+
+        def spy(costs, workers):
+            seen.append(list(costs))
+            return False
+
+        monkeypatch.setattr(pf_module, "pool_pays", spy)
+        assert pf_star(graph, parallel=2) == pf_star(graph)
+        bar = mbc_heuristic(graph, 0).polarization
+        alive = mask_of(pf_module.vertex_reduction(graph, bar + 1))
+        order, pn = polar_core_numbers(graph, alive)
+        askable = [u for u in order if pn[u] > bar]
+        assert reduce == (len(askable) == len(order))
+        exact = planned_later(graph.pos_adjacency_bits(),
+                              graph.neg_adjacency_bits(), order)
+        [costs] = seen
+        assert len(costs) == len(askable)
+        # PDecompose's clamped degrees bound each count from above, by
+        # at most pn per side.
+        for cost, u in zip(costs, askable):
+            assert exact[u] <= cost <= exact[u] + 2 * pn[u]
+
+    @pytest.mark.parametrize("solver", ["mbc", "pf"])
+    def test_forced_pool_reaches_a_real_pool(self, solver, pool_always):
+        graph = random_signed_graph(4, n=45)
+        tracer = get_tracer(True)
+        if solver == "mbc":
+            assert mbc_star(graph, 1, parallel=2, trace=tracer).size \
+                == mbc_star(graph, 1).size
+        else:
+            assert pf_star(graph, parallel=2, trace=tracer) \
+                == pf_star(graph)
+        fanouts = [r for r in tracer.records if r["name"] == "fanout"]
+        assert len(fanouts) == 1
+        assert fanouts[0]["attrs"]["pooled"] is True
+
+
 class TestSharedIncumbent:
     @pytest.mark.parametrize("ctx", [None, multiprocessing])
     def test_monotone_improve(self, ctx):
@@ -181,8 +298,9 @@ class TestMaskBlobs:
 class TestFanOutEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_mbc_in_process_fallback(self, seed):
-        # Small graphs stay below MIN_POOL_TASKS: the plan runs
-        # in-process but still through the fan-out code path.
+        # Small graphs stay below the pool gate (pool_pays), so
+        # parallel=2 runs the serial sweep; the in-process chunk
+        # runner is covered by test_no_pool_platform_falls_back.
         graph = random_signed_graph(seed, n=18)
         tau = seed % 3
         serial = mbc_star(graph, tau)
