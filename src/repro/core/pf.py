@@ -345,8 +345,7 @@ def _pf_pipeline(
         return pf_round_fanout(
             graph.pos_adjacency_bits(), graph.neg_adjacency_bits(), n,
             order, pn, tau_star, witness, workers,
-            stats=stats, engine=engine, trace=tracer, budget=budget,
-            costs=costs)
+            stats=stats, engine=engine, trace=tracer, budget=budget)
 
     # Lines 4-8: reverse-order sweep, one +1 feasibility question per
     # vertex (Lemma 4) through the DCC ego step of

@@ -22,11 +22,12 @@ Pool strategy: the solvers decide once, before any fan-out starts,
 whether a pool pays (:func:`pool_pays`).  Creating and closing a fork
 pool takes longer than a whole pruned stand-in sweep, so the gate asks
 for ``MIN_POOL_TASKS`` tasks and a ``MIN_POOL_WORK`` candidate-count
-estimate, calibrated from the crossover table in EXPERIMENTS.md
-("Pool crossover").  Below it ``mbc_star`` and
-``pf_star`` run their serial sweep, witnesses and ``SearchStats``
-included.  Above it a fresh pool serves the solve, preferring the
-``fork`` start method — the parent installs the
+estimate.  The crossover table in EXPERIMENTS.md ("Pool crossover")
+found no case where the pool wins, so the gate sits above every case
+it measured and a pool opens only where nothing was measured.  Below
+it ``mbc_star`` and ``pf_star`` run their serial sweep, witnesses and
+``SearchStats`` included.  Above it a fresh pool serves the solve,
+preferring the ``fork`` start method — the parent installs the
 :class:`~repro.parallel.worker.WorkerContext` in a module global first,
 so the children inherit the adjacency masks through the address-space
 copy and nothing is pickled at all.  Platforms without ``fork`` fall
@@ -76,14 +77,16 @@ __all__ = [
 MIN_POOL_TASKS = 24
 
 #: Minimum ``sum(cost^2)`` over the tasks' candidate counts before a
-#: pool is worth its startup and IPC cost.  Each instance's
-#: branch-and-bound cost grows superlinearly with its candidate count,
-#: so the squared count separates sweeps worth a pool from sweeps that
-#: pool startup would dominate far better than the task count does.
-#: Calibrated on 2 vCPUs by ``benchmarks/bench_pool_crossover.py``
-#: (EXPERIMENTS.md, "Pool crossover"): the pool beat the serial sweep
-#: at no estimate up to 8.3M, so the gate opens at the next million.
-MIN_POOL_WORK = 9_000_000
+#: pool may start.  Each instance's branch-and-bound cost grows
+#: superlinearly with its candidate count, so the squared count
+#: separates big sweeps from small ones far better than the task count
+#: does.  No crossover was found: on 2 vCPUs a real pool beat the
+#: serial sweep through parallelism on no case of
+#: ``benchmarks/bench_pool_crossover.py`` (EXPERIMENTS.md, "Pool
+#: crossover"), up to the largest estimate measured, 11.0M.  So this
+#: is not a measured break-even; it keeps the gate above every case
+#: measured, and a pool opens only on sweeps larger than any measured.
+MIN_POOL_WORK = 12_000_000
 
 
 def pool_pays(costs: Sequence[int], workers: int) -> bool:
@@ -92,9 +95,10 @@ def pool_pays(costs: Sequence[int], workers: int) -> bool:
 
     The one pool decision of the package: ``mbc_star`` and ``pf_star``
     call their fan-out only when it holds (and run the serial sweep
-    otherwise), and the fan-outs ask it again before creating a pool.
-    Both thresholds are read from the module at call time, so setting
-    them to 0 forces a pool for any task list.
+    otherwise), and :func:`dynamic_ego_fanout`, which has no caller
+    gate, asks it before creating a pool.  Both thresholds are read
+    from the module at call time, so setting them to 0 forces a pool
+    for any task list.
     """
     return (workers > 1 and len(costs) >= MIN_POOL_TASKS
             and sum(c * c for c in costs) >= MIN_POOL_WORK)
@@ -160,7 +164,9 @@ def mbc_ego_fanout(
     witness is returned (anytime contract).  ``engine`` selects the
     worker-side kernel backend (``"bitset"`` or ``"numpy"``); task
     planning always runs on the parent's int masks, and the shipped
-    context rebuilds the matching representation worker-side.
+    context rebuilds the matching representation worker-side.  The
+    caller has already decided that a pool pays (``mbc_star`` asks
+    :func:`pool_pays`), so ``workers > 1`` starts one.
     """
     tracer = trace if trace is not None else current_tracer()
     tasks = plan_tasks(pos_bits, neg_bits, order)
@@ -187,9 +193,7 @@ def mbc_ego_fanout(
         engine=engine)
     chunks = chunk_vertices([t.u for t in viable], workers)
 
-    want_pool = pool_pays([t.cost for t in viable], workers)
-    dispatcher = ResilientDispatcher(workers, ctx_obj,
-                                     want_pool=want_pool)
+    dispatcher = ResilientDispatcher(workers, ctx_obj)
     try:
         best_witness = None
         best_size = best.size
@@ -344,7 +348,6 @@ def pf_round_fanout(
     trace: Tracer | None = None,
     budget: "Budget | None" = None,
     engine: str = "bitset",
-    costs: Sequence[int] = (),
 ) -> tuple[int, BalancedClique]:
     """Run PF*'s DCC sweep as rounds of parallel +1 questions.
 
@@ -364,8 +367,8 @@ def pf_round_fanout(
     round, so the truncated return is always a certified pair.
     The graph arrives as its adjacency masks over ``n`` vertices and
     ``engine`` selects the worker-side kernel backend, as in
-    :func:`mbc_ego_fanout`.  ``costs`` are the candidate counts the
-    caller gated on; a pool starts only when :func:`pool_pays` them.
+    :func:`mbc_ego_fanout`, and ``workers > 1`` starts a pool as
+    there.
     """
     tracer = trace if trace is not None else current_tracer()
     method = preferred_start_method()
@@ -391,8 +394,7 @@ def pf_round_fanout(
         pn_map = dict(enumerate(pn))
 
     pending = [u for u in reversed(order)]
-    dispatcher = ResilientDispatcher(workers, ctx_obj,
-                                     want_pool=pool_pays(costs, workers))
+    dispatcher = ResilientDispatcher(workers, ctx_obj)
     # The bar certified by *delivered* successes.  On a pool failure
     # the incumbent drops back to this floor: a lost chunk may have
     # published a bar it can no longer prove, and its re-run (asked at

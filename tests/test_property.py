@@ -40,6 +40,8 @@ from repro.kernels.active import degeneracy_ordering_array, \
     degeneracy_ordering_mask, k_core_active_mask, k_core_array
 from repro.kernels.bitset import bits_of, mask_of
 from repro.obs import get_tracer
+from repro.parallel import dispatch as dispatch_module
+from repro.parallel import engine as engine_module
 from repro.signed.graph import SignedGraph
 from repro.unsigned.graph import UnsignedGraph
 from repro.unsigned.ordering import degeneracy_ordering
@@ -173,6 +175,91 @@ class TestPfDifferential:
         for engine in PARALLEL_ENGINES:
             assert pf_star(graph, engine=engine,
                            parallel=2) == serial, engine
+
+
+@pytest.fixture(params=["pool", "in-process"])
+def forced_fanout(request, monkeypatch):
+    """Open the pool gate for every task list, so ``parallel=2`` runs
+    the fan-out even on the harness's small graphs: through a real
+    pool, or through the in-process chunk runner of a platform that
+    cannot start one."""
+    monkeypatch.setattr(engine_module, "MIN_POOL_TASKS", 0)
+    monkeypatch.setattr(engine_module, "MIN_POOL_WORK", 0)
+    if request.param == "in-process":
+        monkeypatch.setattr(dispatch_module, "FORCE_START_METHOD", "none")
+    return request.param
+
+
+def assert_fanouts_ran(tracer, mode: str) -> None:
+    """Every ``fanout`` span of a traced solve ran where ``mode`` says."""
+    for record in tracer.records:
+        if record["name"] == "fanout":
+            assert record["attrs"]["pooled"] is (mode == "pool"), mode
+
+
+class TestForcedFanOutDifferential:
+    """The fan-out against the serial sweep on the seed window.
+
+    Every graph of the harness sits below the pool gate, where
+    ``parallel=2`` runs the serial sweep, so the cells above compare
+    serial with serial.  Here the gate is forced open: the fan-outs
+    (``mbc_ego_fanout``, ``pf_round_fanout``) and both of their
+    runners, a real pool and the in-process chunk runner, are checked
+    against the serial sweep on every window of the CI matrix.
+    """
+
+    @pytest.mark.parametrize(
+        "seed",
+        range(BASE_SEED, BASE_SEED + SWEEP, SWEEP // PARALLEL_SAMPLE))
+    def test_mbc_fanout_agrees(self, seed, forced_fanout):
+        graph = random_graph(seed)
+        tau = seed % 3
+        serial = mbc_star(graph, tau, engine="bitset")
+        for engine in PARALLEL_ENGINES:
+            for trace in (None, get_tracer(True)):
+                fanned = mbc_star(graph, tau, engine=engine,
+                                  parallel=2, trace=trace)
+                assert fanned.size == serial.size, (
+                    f"seed={seed} engine={engine} {forced_fanout}")
+                assert_valid(fanned, graph, tau)
+                if trace is not None:
+                    assert_fanouts_ran(trace, forced_fanout)
+
+    @pytest.mark.parametrize(
+        "seed",
+        range(BASE_SEED, BASE_SEED + SWEEP, SWEEP // PARALLEL_SAMPLE))
+    def test_pf_fanout_agrees(self, seed, forced_fanout):
+        graph = random_graph(seed)
+        serial = pf_star(graph, engine="bitset")
+        for engine in PARALLEL_ENGINES:
+            tracer = get_tracer(True)
+            beta, witness = pf_star(graph, engine=engine, parallel=2,
+                                    return_witness=True, trace=tracer)
+            assert beta == serial, (
+                f"seed={seed} engine={engine} {forced_fanout}")
+            assert witness.polarization >= beta
+            # A fan-out whose first round has nothing pending
+            # dispatches nothing and starts no pool.
+            if any(r["name"] == "round" for r in tracer.records):
+                assert_fanouts_ran(tracer, forced_fanout)
+
+    @pytest.mark.parametrize(
+        "seed", range(BASE_SEED, BASE_SEED + SWEEP, 10))
+    def test_mask_engines_return_identical_fanout_cliques(
+            self, seed, monkeypatch):
+        """In the in-process runner the fan-out's chunks run in a
+        fixed order, so bitset and numpy, which share every tie-break,
+        must return the same witness there too."""
+        monkeypatch.setattr(engine_module, "MIN_POOL_TASKS", 0)
+        monkeypatch.setattr(engine_module, "MIN_POOL_WORK", 0)
+        monkeypatch.setattr(dispatch_module, "FORCE_START_METHOD", "none")
+        graph = random_graph(seed)
+        tau = seed % 3
+        reference = mbc_star(graph, tau, engine="bitset", parallel=2)
+        for engine in PARALLEL_ENGINES:
+            result = mbc_star(graph, tau, engine=engine, parallel=2)
+            assert result.vertices == reference.vertices, (
+                f"seed={seed} engine={engine}")
 
 
 class TestDeterminism:
