@@ -18,8 +18,9 @@ decomposition *persistent*:
   ``lower <= val(u) <= upper`` plus the witness clique backing
   ``lower``.  Bounds come from the exhaustive-above-floor contract of
   :func:`repro.dichromatic.mdc.solve_mdc` and are unconditionally
-  certified (see :func:`repro.parallel.worker.run_dynamic_chunk`), so
-  they survive budget truncation and pool failures;
+  certified (the ego-step contract of :mod:`repro.dichromatic.ego`:
+  an MDC step's ``upper`` rests only on facts about the ego instance),
+  so they survive budget truncation and pool failures;
 * an edit ``(u, v)`` invalidates exactly the ego instances whose
   candidate cliques can contain both endpoints: a clique through
   ``u`` and ``v`` anchored at ``w`` needs ``u, v ∈ N[w]``, i.e.
@@ -57,11 +58,12 @@ rebuild.
 from __future__ import annotations
 
 from ..core.result import EMPTY_RESULT, BalancedClique, SolveResult
-from ..dichromatic.ego import DCC_STEPS, mdc_step_set, witness_members
+from ..dichromatic.ego import DCC_STEPS, MDC_STEPS, witness_members
 from ..kernels import engine_spec, npmask, validate_engine
 from ..kernels.active import degeneracy_ordering_mask
 from ..obs import current_tracer
-from ..parallel.engine import dynamic_ego_fanout, resolve_workers
+from ..parallel.engine import dynamic_ego_fanout, pool_pays, \
+    resolve_workers
 from ..parallel.tasks import suffix_masks
 from ..resilience.budget import Budget, BudgetExceeded
 from ..signed.graph import POSITIVE, SignedGraph
@@ -69,7 +71,8 @@ from ..signed.graph import POSITIVE, SignedGraph
 __all__ = ["DynamicSolver", "EgoEntry"]
 
 #: ``(u, certified upper, members or None)`` for one re-solved ego, as
-#: :func:`repro.parallel.worker.run_dynamic_chunk` delivers it.
+#: the serial loop and :func:`repro.parallel.worker.run_dynamic_chunk`
+#: deliver it.
 _Resolved = tuple[int, int, "list[tuple[int, bool]] | None"]
 
 
@@ -399,11 +402,21 @@ class DynamicSolver:
                 span.set(skipped=True, size=best.size)
                 self._result = result
                 return result
-            if self._engine == "set":
-                outcomes, completed = self._solve_serial_set(
-                    queue, best.size, budget)
+            # The pool decision, made once per solve as mbc_star and
+            # pf_star make it, on candidate counts from the cached masks.
+            pooled = self._workers > 1 and pool_pays(
+                [(self._pos_bits[u] & self._allowed[u]).bit_count()
+                 + (self._neg_bits[u] & self._allowed[u]).bit_count()
+                 for u in queue], self._workers)
+            if pooled:
+                outcomes, completed = dynamic_ego_fanout(
+                    self._pos_bits, self._neg_bits, self._n, self._tau,
+                    best.size, queue, self._order, self._workers,
+                    use_core=self._use_core,
+                    use_coloring=self._use_coloring, budget=budget,
+                    engine=self._engine)
             else:
-                outcomes, completed = self._solve_fanout(
+                outcomes, completed = self._solve_serial(
                     queue, best.size, budget)
             for u, upper, members in outcomes:
                 entry = self._entries[u]
@@ -421,38 +434,22 @@ class DynamicSolver:
             self._result = result
             return result
 
-    def _solve_fanout(
+    def _solve_serial(
         self, queue: list[int], floor: int, budget: Budget | None,
     ) -> "tuple[list[_Resolved], bool]":
-        """Re-solve ``queue`` through the parallel dispatch machinery.
+        """Serial re-solve of ``queue``, the same loop for every engine.
 
-        Runs in-process below the pool gate (including always at
-        ``workers == 1``), so bitset and numpy share one code path
-        with the pooled case.  Returns the delivered ``(u, upper,
-        members)`` outcomes and whether every queued ego was processed.
-        """
-        costs = [(self._pos_bits[u] & self._allowed[u]).bit_count()
-                 + (self._neg_bits[u] & self._allowed[u]).bit_count()
-                 for u in queue] if self._workers > 1 else []
-        return dynamic_ego_fanout(
-            self._pos_bits, self._neg_bits, self._n, self._tau,
-            floor, queue, self._order, self._workers,
-            costs=costs, use_core=self._use_core,
-            use_coloring=self._use_coloring, budget=budget,
-            engine=self._engine)
-
-    def _solve_serial_set(
-        self, queue: list[int], floor: int, budget: Budget | None,
-    ) -> "tuple[list[_Resolved], bool]":
-        """Serial set-engine re-solve (the reference path).
-
-        Runs the MBC* serial sweep's ego step, raising the bar as
-        witnesses arrive, and returns :meth:`_solve_fanout`'s
-        ``(outcomes, completed)`` pair.  A budget stop mid-instance
-        certifies nothing for that ego: it keeps its cheap bound and
-        is retried next call.
+        Runs the MBC* serial sweep's ego step (``MDC_STEPS``), raising
+        the bar as witnesses arrive, and returns the delivered ``(u,
+        upper, members)`` outcomes with whether every queued ego was
+        processed — the pair :func:`~repro.parallel.engine.
+        dynamic_ego_fanout` returns.  A budget stop mid-instance
+        certifies nothing for that ego: it keeps its cheap bound and is
+        retried next call.
         """
         tracer = current_tracer()
+        mdc_step = MDC_STEPS[self._engine]
+        adjacency = self._ego_adjacency()
         outcomes: "list[_Resolved]" = []
         best_size = floor
         for u in queue:
@@ -466,8 +463,8 @@ class DynamicSolver:
                 continue
             with tracer.span("ego", v=u) as ego:
                 try:
-                    _pruned, upper, network, found = mdc_step_set(
-                        self._graph, u, self._allowed[u], self._tau,
+                    _pruned, upper, network, found = mdc_step(
+                        adjacency, u, self._allowed[u], self._tau,
                         required, use_core=self._use_core,
                         use_coloring=self._use_coloring, tracer=tracer,
                         ego=ego, budget=budget)
@@ -586,7 +583,8 @@ class DynamicSolver:
     def _ego_adjacency(self) -> object:
         """The live graph in this solver's engine form for the ego
         steps of :mod:`repro.dichromatic.ego` (numpy matrices are
-        rebuilt from the solver's bits, once per ``beta()`` call)."""
+        rebuilt from the solver's bits, once per ``solve()`` or
+        ``beta()`` call that asks a question)."""
         if self._engine == "set":
             return self._graph
         if self._engine == "numpy":

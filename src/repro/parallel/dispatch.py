@@ -164,18 +164,17 @@ class ResilientDispatcher:
     """Run chunk payloads through a pool, surviving worker failures.
 
     One dispatcher serves one solve (it may run several :meth:`run`
-    batches, e.g. PF* rounds, over the same pool).  ``want_pool``
-    False keeps everything in-process — the pool gate
-    (:func:`~repro.parallel.engine.pool_pays`) stays the caller's
-    decision.
+    batches, e.g. PF* rounds, over the same pool).  It starts a pool
+    whenever ``workers > 1``: whether one pays is the solver's
+    decision (:func:`~repro.parallel.engine.pool_pays`), made before
+    any fan-out is called.
     """
 
-    def __init__(self, workers: int, ctx_obj: WorkerContext,
-                 want_pool: bool = True) -> None:
+    def __init__(self, workers: int, ctx_obj: WorkerContext) -> None:
         self.workers = workers
         self.ctx_obj = ctx_obj
         self.report = DispatchReport()
-        self._want_pool = want_pool and workers > 1
+        self._want_pool = workers > 1
         self._pool: "Pool | None" = None
         self._pool_pids: frozenset[int] = frozenset()
         self._failures = 0

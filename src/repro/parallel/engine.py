@@ -26,15 +26,17 @@ estimate.  The crossover table in EXPERIMENTS.md ("Pool crossover")
 found no case where the pool wins, so the gate sits above every case
 it measured and a pool opens only where nothing was measured.  Below
 it ``mbc_star`` and ``pf_star`` run their serial sweep, witnesses and
-``SearchStats`` included.  Above it a fresh pool serves the solve,
+``SearchStats`` included, and ``DynamicSolver.solve`` its own serial
+ego loop; no serial solve enters this package's dispatch.  Above it a fresh pool serves the solve,
 preferring the ``fork`` start method — the parent installs the
 :class:`~repro.parallel.worker.WorkerContext` in a module global first,
 so the children inherit the adjacency masks through the address-space
 copy and nothing is pickled at all.  Platforms without ``fork`` fall
 back to ``spawn`` with the context packed into compact byte blobs; if
 no pool can be created at all, the same chunk runners execute
-in-process.  The in-process runner is also the dynamic solver's serial
-path.
+in-process.  The three fan-outs share one dispatch scaffold
+(``_Fanout``): the shared incumbent, the worker context, the per-chunk
+accounting, the budget abort and the ``fanout`` span.
 
 All pool mechanics live in :class:`~repro.parallel.dispatch.
 ResilientDispatcher` (see :mod:`repro.parallel.dispatch`): chunks are
@@ -49,11 +51,12 @@ deadline even while the work sits in worker processes.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Sequence
 
 from ..core.result import BalancedClique
 from ..core.stats import SearchStats
-from ..obs import Tracer, current_tracer
+from ..obs import Span, Tracer, current_tracer
 from ..resilience.budget import Budget, BudgetExceeded
 from .dispatch import ResilientDispatcher, preferred_start_method
 from .incumbent import SharedIncumbent
@@ -93,10 +96,10 @@ def pool_pays(costs: Sequence[int], workers: int) -> bool:
     """Whether a fan-out over tasks with candidate counts ``costs``
     should start a process pool.
 
-    The one pool decision of the package: ``mbc_star`` and ``pf_star``
-    call their fan-out only when it holds (and run the serial sweep
-    otherwise), and :func:`dynamic_ego_fanout`, which has no caller
-    gate, asks it before creating a pool.  Both thresholds are read
+    The one pool decision of the package, made once per solve by the
+    solvers: ``mbc_star``, ``pf_star`` and ``DynamicSolver.solve`` call
+    their fan-out only when it holds and run their serial loop
+    otherwise; no fan-out asks it again.  Both thresholds are read
     from the module at call time, so setting them to 0 forces a pool
     for any task list.
     """
@@ -112,25 +115,95 @@ def resolve_workers(parallel: int | None) -> int:
     return int(parallel)
 
 
-def _want_accounting(stats: SearchStats | None,
-                     budget: "Budget | None") -> bool:
-    """Whether chunk results must carry stats deltas.
+class _Fanout:
+    """The dispatch scaffold the three fan-outs share.
 
-    A node-capped budget needs them even when the caller passed no
-    ``stats``: the parent charges each chunk's node count against the
-    budget as results arrive (chunk-granular — a worker never holds a
-    budget of its own).
+    One instance serves one solve: it owns the shared incumbent
+    (starting at ``floor``), the :class:`WorkerContext` and the
+    :class:`ResilientDispatcher`.  :meth:`run` folds each chunk's
+    stats delta, node charge and trace delta in and yields the
+    chunk's own result; :meth:`span` wraps the solve in the
+    ``fanout`` span, turns ``BudgetExceeded`` into an aborted pool
+    and ``completed = False``, and always closes the pool.  A pool
+    failure resets the incumbent to :attr:`certified`, the floor the
+    caller raises as delivered results prove it.
     """
-    return stats is not None or (
-        budget is not None and budget.max_nodes is not None)
 
+    def __init__(
+        self,
+        pos_bits: list[int],
+        neg_bits: list[int],
+        n: int,
+        tau: int,
+        order: list[int],
+        floor: int,
+        workers: int,
+        stats: SearchStats | None,
+        tracer: Tracer,
+        budget: "Budget | None",
+        engine: str,
+        use_core: bool = True,
+        use_coloring: bool = True,
+    ) -> None:
+        method = preferred_start_method()
+        self.incumbent = SharedIncumbent(
+            floor,
+            multiprocessing.get_context(method) if method is not None
+            else None)
+        self.certified = floor
+        self.completed = True
+        self._stats = stats
+        self._tracer = tracer
+        self._budget = budget
+        # A node-capped budget needs chunk stats even without caller
+        # ``stats``: each arriving chunk's nodes are charged against it
+        # (chunk-granular — a worker never holds a budget of its own).
+        want_stats = stats is not None or (
+            budget is not None and budget.max_nodes is not None)
+        self._dispatcher = ResilientDispatcher(workers, WorkerContext(
+            pos_bits, neg_bits, n, tau, order, self.incumbent,
+            use_core=use_core, use_coloring=use_coloring,
+            want_stats=want_stats, want_trace=tracer.enabled,
+            engine=engine))
 
-def _charge_chunk(budget: "Budget | None",
-                  chunk_stats: SearchStats | None) -> None:
-    """Charge one chunk's branch-and-bound nodes against the budget
-    (raises ``BudgetExceeded`` when that crosses the node cap)."""
-    if budget is not None and chunk_stats is not None:
-        budget.spend(chunk_stats.nodes)
+    def run(self, runner: Callable[..., Any],
+            payloads: list[Any]) -> Iterator[Any]:
+        """Each chunk's own result (the first field of its tuple), in
+        arrival order, once its accounting is folded in."""
+        for result in self._dispatcher.run(
+                runner, payloads, budget=self._budget,
+                on_recover=lambda: self.incumbent.reset(self.certified)):
+            chunk_stats, buffer = result[1], result[2]
+            if chunk_stats is not None:
+                if self._stats is not None:
+                    self._stats.merge(chunk_stats)
+                if self._budget is not None:
+                    # Raises BudgetExceeded past the node cap.
+                    self._budget.spend(chunk_stats.nodes)
+            if buffer is not None:
+                self._tracer.absorb(buffer)
+            yield result[0]
+
+    @contextmanager
+    def span(self, **attrs: object) -> Iterator[Span]:
+        """The ``fanout`` span around the whole dispatch."""
+        try:
+            with self._tracer.span("fanout", **attrs) as fan_span:
+                try:
+                    yield fan_span
+                except BudgetExceeded:
+                    self._dispatcher.abort()
+                    self.completed = False
+                if self._tracer.enabled:
+                    report = self._dispatcher.report
+                    fan_span.set(pooled=report.pooled,
+                                 rebuilds=report.rebuilds,
+                                 degraded=report.degraded)
+                    if self._budget is not None:
+                        fan_span.set(status=self._budget.status.value)
+        finally:
+            self._dispatcher.close()
+            install_context(None)
 
 
 def mbc_ego_fanout(
@@ -181,57 +254,19 @@ def mbc_ego_fanout(
     if not viable:
         return best
 
-    incumbent = SharedIncumbent(
-        best.size,
-        multiprocessing.get_context(preferred_start_method())
-        if preferred_start_method() is not None else None)
-    want_accounting = _want_accounting(stats, budget)
-    ctx_obj = WorkerContext(
-        pos_bits, neg_bits, n, tau, order, incumbent,
-        use_core=use_core, use_coloring=use_coloring,
-        want_stats=want_accounting, want_trace=tracer.enabled,
-        engine=engine)
-    chunks = chunk_vertices([t.u for t in viable], workers)
-
-    dispatcher = ResilientDispatcher(workers, ctx_obj)
-    try:
-        best_witness = None
-        best_size = best.size
-        with tracer.span("fanout", tasks=len(viable),
-                         workers=workers) as fan_span:
-            try:
-                # On a pool failure the incumbent drops back to the
-                # best *delivered* size: a lost chunk may have
-                # published a size it can no longer prove, and its
-                # re-run would be pruned by its own stale publication.
-                for witness, chunk_stats, buffer, _examined, _skipped \
-                        in dispatcher.run(
-                            run_mdc_chunk_task, chunks, budget=budget,
-                            on_recover=lambda:
-                                incumbent.reset(best_size)):
-                    if chunk_stats is not None and stats is not None:
-                        stats.merge(chunk_stats)
-                    _charge_chunk(budget, chunk_stats)
-                    if buffer is not None:
-                        tracer.absorb(buffer)
-                    if witness is not None:
-                        u, members = witness
-                        size = len(members) + 1
-                        if size > best_size:
-                            best_size = size
-                            best_witness = witness
-            except BudgetExceeded:
-                dispatcher.abort()
-            if tracer.enabled:
-                report = dispatcher.report
-                fan_span.set(pooled=report.pooled,
-                             rebuilds=report.rebuilds,
-                             degraded=report.degraded)
-                if budget is not None:
-                    fan_span.set(status=budget.status.value)
-    finally:
-        dispatcher.close()
-        install_context(None)
+    fan = _Fanout(pos_bits, neg_bits, n, tau, order, best.size, workers,
+                  stats, tracer, budget, engine, use_core=use_core,
+                  use_coloring=use_coloring)
+    # The first of the largest delivered witnesses; its size is the
+    # floor a pool failure resets the incumbent to.
+    best_witness = None
+    with fan.span(tasks=len(viable), workers=workers):
+        for witness in fan.run(
+                run_mdc_chunk_task,
+                chunk_vertices([t.u for t in viable], workers)):
+            if witness is not None and len(witness[1]) + 1 > fan.certified:
+                fan.certified = len(witness[1]) + 1
+                best_witness = witness
 
     if best_witness is None:
         return best
@@ -248,7 +283,6 @@ def dynamic_ego_fanout(
     egos: list[int],
     order: list[int],
     workers: int,
-    costs: Sequence[int] = (),
     use_core: bool = True,
     use_coloring: bool = True,
     stats: SearchStats | None = None,
@@ -256,18 +290,17 @@ def dynamic_ego_fanout(
     budget: "Budget | None" = None,
     engine: str = "bitset",
 ) -> "tuple[list[tuple[int, int, list[tuple[int, bool]] | None]], bool]":
-    """Dispatch the dynamic solver's dirty-ego subset.
+    """Dispatch the dynamic solver's re-solve queue through a pool.
 
     Like :func:`mbc_ego_fanout` this takes the adjacency masks, not a
     graph: the dynamic solver owns incrementally-maintained masks and
-    hands them over directly, with ``egos`` the (typically tiny) subset
-    of anchors whose cached bounds cannot rule them out and ``floor``
-    the incumbent size certified by cached witnesses.  Unlike it, the
-    task set is explicit rather than planned from an ordering.
-    ``costs`` are the solver's own candidate counts for ``egos`` (it
-    already holds per-ego allowed masks, so re-planning tasks here
-    would be an O(n) scan per solve); they only gate pool creation
-    through :func:`pool_pays`.
+    hands them over directly, with ``egos`` the subset of anchors whose
+    cached bounds cannot rule them out and ``floor`` the incumbent size
+    certified by cached witnesses.  Unlike it, the task set is explicit
+    rather than planned from an ordering.  The caller has already
+    decided that a pool pays (``DynamicSolver.solve`` asks
+    :func:`pool_pays` on its own candidate counts and runs its serial
+    loop otherwise), so ``workers > 1`` starts one.
 
     Returns ``(outcomes, completed)``; each outcome is the worker's
     ``(u, certified upper, members-or-None)`` triple.  Outcomes are
@@ -282,57 +315,20 @@ def dynamic_ego_fanout(
     tracer = trace if trace is not None else current_tracer()
     if not egos:
         return [], True
-    incumbent = SharedIncumbent(
-        floor,
-        multiprocessing.get_context(preferred_start_method())
-        if preferred_start_method() is not None else None)
-    want_accounting = _want_accounting(stats, budget)
-    ctx_obj = WorkerContext(
-        pos_bits, neg_bits, n, tau, order, incumbent,
-        use_core=use_core, use_coloring=use_coloring,
-        want_stats=want_accounting, want_trace=tracer.enabled,
-        engine=engine)
-    chunks = chunk_vertices(egos, workers)
-    want_pool = pool_pays(costs, workers)
-    dispatcher = ResilientDispatcher(workers, ctx_obj,
-                                     want_pool=want_pool)
+    fan = _Fanout(pos_bits, neg_bits, n, tau, order, floor, workers,
+                  stats, tracer, budget, engine, use_core=use_core,
+                  use_coloring=use_coloring)
     outcomes: "list[tuple[int, int, list[tuple[int, bool]] | None]]" = []
-    completed = True
-    certified = floor
-    try:
-        with tracer.span("fanout", tasks=len(egos), workers=workers,
-                         dynamic=True) as fan_span:
-            try:
-                for chunk_outcomes, chunk_stats, buffer, _examined, \
-                        _skipped in dispatcher.run(
-                            run_dynamic_chunk_task, chunks,
-                            budget=budget,
-                            on_recover=lambda:
-                                incumbent.reset(certified)):
-                    if chunk_stats is not None and stats is not None:
-                        stats.merge(chunk_stats)
-                    _charge_chunk(budget, chunk_stats)
-                    if buffer is not None:
-                        tracer.absorb(buffer)
-                    outcomes.extend(chunk_outcomes)
-                    for _u, upper, members in chunk_outcomes:
-                        if members is not None:
-                            certified = max(certified, upper)
-            except BudgetExceeded:
-                dispatcher.abort()
-                completed = False
-            if tracer.enabled:
-                report = dispatcher.report
-                fan_span.set(pooled=report.pooled,
-                             rebuilds=report.rebuilds,
-                             degraded=report.degraded,
-                             delivered=len(outcomes))
-                if budget is not None:
-                    fan_span.set(status=budget.status.value)
-    finally:
-        dispatcher.close()
-        install_context(None)
-    return outcomes, completed
+    with fan.span(tasks=len(egos), workers=workers, dynamic=True,
+                  delivered=0) as fan_span:
+        for chunk_outcomes in fan.run(run_dynamic_chunk_task,
+                                      chunk_vertices(egos, workers)):
+            outcomes.extend(chunk_outcomes)
+            fan_span.count("delivered", len(chunk_outcomes))
+            for _u, upper, members in chunk_outcomes:
+                if members is not None:
+                    fan.certified = max(fan.certified, upper)
+    return outcomes, fan.completed
 
 
 def pf_round_fanout(
@@ -371,16 +367,13 @@ def pf_round_fanout(
     there.
     """
     tracer = trace if trace is not None else current_tracer()
-    method = preferred_start_method()
-    incumbent = SharedIncumbent(
-        tau_star,
-        multiprocessing.get_context(method) if method is not None
-        else None)
-    want_accounting = _want_accounting(stats, budget)
-    ctx_obj = WorkerContext(
-        pos_bits, neg_bits, n, 0, order, incumbent,
-        want_stats=want_accounting, want_trace=tracer.enabled,
-        engine=engine)
+    # The scaffold's certified floor is the bar proven by *delivered*
+    # successes.  On a pool failure the incumbent drops back to it: a
+    # lost chunk may have published a bar it can no longer prove, and
+    # its re-run (asked at that elevated bar) would fail the +1
+    # question its original run answered — silently losing the optimum.
+    fan = _Fanout(pos_bits, neg_bits, n, 0, order, tau_star, workers,
+                  stats, tracer, budget, engine)
 
     # PDecompose hands pn as a dense list; other reduction paths pass a
     # (possibly partial) dict.  Normalize so the round filter can use
@@ -394,88 +387,49 @@ def pf_round_fanout(
         pn_map = dict(enumerate(pn))
 
     pending = [u for u in reversed(order)]
-    dispatcher = ResilientDispatcher(workers, ctx_obj)
-    # The bar certified by *delivered* successes.  On a pool failure
-    # the incumbent drops back to this floor: a lost chunk may have
-    # published a bar it can no longer prove, and its re-run (asked at
-    # that elevated bar) would fail the +1 question its original run
-    # answered — silently losing the optimum.
-    certified = tau_star
-    try:
-        with tracer.span("fanout", tasks=len(pending),
-                         workers=workers) as fan_span:
-            try:
-                while True:
-                    if budget is not None:
-                        budget.check()
-                    # Lemma 5: pn(u) bounds gamma(g_u); once the bar
-                    # passes it, the vertex can never answer a +1
-                    # question positively.  A vertex absent from pn was
-                    # dropped by PDecompose's own reduction, so it gets
-                    # the no-op default tau_star + 1 and the DCC
-                    # question decides (it bounds, never filters, so a
-                    # loose default costs one question, not
-                    # correctness).
-                    if pn_map is not None:
-                        pending = [u for u in pending
-                                   if pn_map.get(u, tau_star + 1)
-                                   > tau_star]
-                    if not pending:
-                        break
-                    if stats is not None:
-                        stats.vertices_examined += len(pending)
-                    payloads = [(tau_star, chunk) for chunk
-                                in chunk_vertices(pending, workers)]
-                    round_successes: list[tuple[int, int, list]] = []
-                    with tracer.span("round", bar=tau_star,
-                                     pending=len(pending)) as round_span:
-                        for successes, chunk_stats, buffer, _examined \
-                                in dispatcher.run(
-                                    run_dcc_chunk_task, payloads,
-                                    budget=budget,
-                                    on_recover=lambda:
-                                        incumbent.reset(certified)):
-                            if chunk_stats is not None \
-                                    and stats is not None:
-                                stats.merge(chunk_stats)
-                            _charge_chunk(budget, chunk_stats)
-                            if buffer is not None:
-                                tracer.absorb(buffer)
-                            round_successes.extend(successes)
-                            for _u, bar, _m in successes:
-                                certified = max(certified, bar + 1)
-                        round_span.set(successes=len(round_successes))
-                    if not round_successes:
-                        break
-                    new_tau = max(bar + 1
-                                  for _u, bar, _m in round_successes)
-                    # Deterministic witness: among the successes
-                    # proving the new bar, keep the earliest vertex in
-                    # dispatch order.
-                    position = {u: i for i, u in enumerate(pending)}
-                    top = min(
-                        (s for s in round_successes
-                         if s[1] + 1 == new_tau),
-                        key=lambda s: position[s[0]])
-                    u, _bar, members = top
-                    witness = BalancedClique.from_anchor(u, members)
-                    tau_star = new_tau
-                    incumbent.improve(tau_star)
-                    survivors = {s[0] for s in round_successes}
-                    pending = [u for u in pending if u in survivors]
-            except BudgetExceeded:
-                # Anytime: the (tau_star, witness) pair from the last
-                # full round is certified; in-flight round work is
-                # abandoned.
-                dispatcher.abort()
-            if tracer.enabled:
-                report = dispatcher.report
-                fan_span.set(pooled=report.pooled,
-                             rebuilds=report.rebuilds,
-                             degraded=report.degraded)
-                if budget is not None:
-                    fan_span.set(status=budget.status.value)
-    finally:
-        dispatcher.close()
-        install_context(None)
+    # Anytime: on budget expiry the (tau_star, witness) pair from the
+    # last full round is certified; in-flight round work is abandoned.
+    with fan.span(tasks=len(pending), workers=workers):
+        while True:
+            if budget is not None:
+                budget.check()
+            # Lemma 5: pn(u) bounds gamma(g_u); once the bar passes
+            # it, the vertex can never answer a +1 question
+            # positively.  A vertex absent from pn was dropped by
+            # PDecompose's own reduction, so it gets the no-op default
+            # tau_star + 1 and the DCC question decides (it bounds,
+            # never filters, so a loose default costs one question,
+            # not correctness).
+            if pn_map is not None:
+                pending = [u for u in pending
+                           if pn_map.get(u, tau_star + 1) > tau_star]
+            if not pending:
+                break
+            if stats is not None:
+                stats.vertices_examined += len(pending)
+            payloads = [(tau_star, chunk) for chunk
+                        in chunk_vertices(pending, workers)]
+            round_successes: list[tuple[int, int, list]] = []
+            with tracer.span("round", bar=tau_star,
+                             pending=len(pending)) as round_span:
+                for successes in fan.run(run_dcc_chunk_task, payloads):
+                    round_successes.extend(successes)
+                    for _u, bar, _m in successes:
+                        fan.certified = max(fan.certified, bar + 1)
+                round_span.set(successes=len(round_successes))
+            if not round_successes:
+                break
+            new_tau = max(bar + 1 for _u, bar, _m in round_successes)
+            # Deterministic witness: among the successes proving the
+            # new bar, keep the earliest vertex in dispatch order.
+            position = {u: i for i, u in enumerate(pending)}
+            top = min(
+                (s for s in round_successes if s[1] + 1 == new_tau),
+                key=lambda s: position[s[0]])
+            u, _bar, members = top
+            witness = BalancedClique.from_anchor(u, members)
+            tau_star = new_tau
+            fan.incumbent.improve(tau_star)
+            survivors = {s[0] for s in round_successes}
+            pending = [u for u in pending if u in survivors]
     return tau_star, witness

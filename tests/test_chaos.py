@@ -185,8 +185,7 @@ class TestLostPublicationRecovery:
             multiprocessing.get_context(
                 dispatch_module.preferred_start_method()))
         ctx_obj = WorkerContext([0, 0], [0, 0], 2, 0, [0, 1], incumbent)
-        dispatcher = dispatch_module.ResilientDispatcher(
-            2, ctx_obj, want_pool=True)
+        dispatcher = dispatch_module.ResilientDispatcher(2, ctx_obj)
         orphaned = []
 
         def recover():

@@ -17,6 +17,7 @@ from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_star
 from repro.core.result import BalancedClique, Status
 from repro.datasets.registry import load
+from repro.dynamic import solver as solver_module
 from repro.dynamic import (
     DynamicSolver,
     Edit,
@@ -28,7 +29,7 @@ from repro.obs import get_tracer, install_tracer
 from repro.resilience.budget import Budget
 from repro.signed.graph import NEGATIVE, POSITIVE, SignedGraph
 
-from .conftest import SOLVER_ENGINES
+from .conftest import PARALLEL_ENGINES, SOLVER_ENGINES
 
 #: Real stand-ins whose seeded edit streams are replayed at tau=3.
 STAND_INS = ("bitcoin", "adjwordnet", "referendum", "douban")
@@ -238,6 +239,38 @@ class TestIncrementalSolve:
         truncated = solver.solve(budget=Budget(max_nodes=1))
         assert truncated.clique.size <= mbc_star(graph, tau=1).size
         assert_matches_full(solver)
+
+
+class TestSerialPath:
+    """Below the pool gate a re-solve is the solver's own ego loop:
+    it never enters ``repro.parallel``'s dispatch, at ``parallel=0``
+    or at ``parallel=2``."""
+
+    @pytest.mark.parametrize("engine,parallel", [
+        *((engine, 0) for engine in SOLVER_ENGINES),
+        *((engine, 2) for engine in PARALLEL_ENGINES)])
+    def test_serial_solves_never_reach_the_dispatcher(
+            self, engine, parallel, monkeypatch):
+        def no_fanout(*_args, **_kwargs):
+            raise AssertionError("a serial solve reached the fan-out")
+
+        monkeypatch.setattr(solver_module, "dynamic_ego_fanout",
+                            no_fanout)
+        graph = random_graph(7)
+        solver = DynamicSolver(graph, tau=1, engine=engine,
+                               parallel=parallel)
+        tracer = get_tracer(True)
+        for edit in random_edits(graph, 12, seed=3):
+            apply_edit(solver, edit)
+            previous = install_tracer(tracer)
+            try:
+                solver.solve()
+            finally:
+                install_tracer(previous)
+            assert_matches_full(solver)
+        names = {record["name"] for record in tracer.records}
+        assert "ego" in names
+        assert not names & {"fanout", "chunk"}
 
 
 class TestBeta:
