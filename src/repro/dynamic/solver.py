@@ -20,7 +20,7 @@ decomposition *persistent*:
   :func:`repro.dichromatic.mdc.solve_mdc` and are unconditionally
   certified (the ego-step contract of :mod:`repro.dichromatic.ego`:
   an MDC step's ``upper`` rests only on facts about the ego instance),
-  so they survive budget truncation and pool failures;
+  so they survive budget truncation;
 * an edit ``(u, v)`` invalidates exactly the ego instances whose
   candidate cliques can contain both endpoints: a clique through
   ``u`` and ``v`` anchored at ``w`` needs ``u, v ∈ N[w]``, i.e.
@@ -62,8 +62,7 @@ from ..dichromatic.ego import DCC_STEPS, MDC_STEPS, witness_members
 from ..kernels import engine_spec, npmask, validate_engine
 from ..kernels.active import degeneracy_ordering_mask
 from ..obs import current_tracer
-from ..parallel.engine import dynamic_ego_fanout, pool_pays, \
-    resolve_workers
+from ..parallel.engine import resolve_workers
 from ..parallel.tasks import suffix_masks
 from ..resilience.budget import Budget, BudgetExceeded
 from ..signed.graph import POSITIVE, SignedGraph
@@ -71,8 +70,7 @@ from ..signed.graph import POSITIVE, SignedGraph
 __all__ = ["DynamicSolver", "EgoEntry"]
 
 #: ``(u, certified upper, members or None)`` for one re-solved ego, as
-#: the serial loop and :func:`repro.parallel.worker.run_dynamic_chunk`
-#: deliver it.
+#: :meth:`DynamicSolver._solve_serial` delivers it.
 _Resolved = tuple[int, int, "list[tuple[int, bool]] | None"]
 
 
@@ -102,6 +100,9 @@ class DynamicSolver:
     exist there.  ``tau >= 1`` is required: the ``tau = 0`` problem
     degenerates to unsigned maximum clique with single-vertex bases,
     which the ego decomposition's feasibility bounds do not model.
+    ``parallel`` is validated as there, but every re-solve runs the
+    serial ego loop: a re-solve queue is far below the size at which
+    a process pool pays (EXPERIMENTS.md, "Pool crossover").
 
     The solver takes ownership of mutations: edit the graph through
     :meth:`add_edge` / :meth:`remove_edge` / :meth:`flip_sign` only.
@@ -132,7 +133,6 @@ class DynamicSolver:
         self._graph = graph
         self._tau = tau
         self._engine = engine
-        self._workers = workers
         self._use_core = use_core
         self._use_coloring = use_coloring
         self._rebuild()
@@ -402,22 +402,8 @@ class DynamicSolver:
                 span.set(skipped=True, size=best.size)
                 self._result = result
                 return result
-            # The pool decision, made once per solve as mbc_star and
-            # pf_star make it, on candidate counts from the cached masks.
-            pooled = self._workers > 1 and pool_pays(
-                [(self._pos_bits[u] & self._allowed[u]).bit_count()
-                 + (self._neg_bits[u] & self._allowed[u]).bit_count()
-                 for u in queue], self._workers)
-            if pooled:
-                outcomes, completed = dynamic_ego_fanout(
-                    self._pos_bits, self._neg_bits, self._n, self._tau,
-                    best.size, queue, self._order, self._workers,
-                    use_core=self._use_core,
-                    use_coloring=self._use_coloring, budget=budget,
-                    engine=self._engine)
-            else:
-                outcomes, completed = self._solve_serial(
-                    queue, best.size, budget)
+            outcomes, completed = self._solve_serial(
+                queue, best.size, budget)
             for u, upper, members in outcomes:
                 entry = self._entries[u]
                 if members is None:
@@ -442,10 +428,8 @@ class DynamicSolver:
         Runs the MBC* serial sweep's ego step (``MDC_STEPS``), raising
         the bar as witnesses arrive, and returns the delivered ``(u,
         upper, members)`` outcomes with whether every queued ego was
-        processed — the pair :func:`~repro.parallel.engine.
-        dynamic_ego_fanout` returns.  A budget stop mid-instance
-        certifies nothing for that ego: it keeps its cheap bound and is
-        retried next call.
+        processed.  A budget stop mid-instance certifies nothing for
+        that ego: it keeps its cheap bound and is retried next call.
         """
         tracer = current_tracer()
         mdc_step = MDC_STEPS[self._engine]

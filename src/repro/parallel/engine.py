@@ -26,15 +26,17 @@ estimate.  The crossover table in EXPERIMENTS.md ("Pool crossover")
 found no case where the pool wins, so the gate sits above every case
 it measured and a pool opens only where nothing was measured.  Below
 it ``mbc_star`` and ``pf_star`` run their serial sweep, witnesses and
-``SearchStats`` included, and ``DynamicSolver.solve`` its own serial
-ego loop; no serial solve enters this package's dispatch.  Above it a fresh pool serves the solve,
+``SearchStats`` included; no serial solve enters this package's
+dispatch.  ``DynamicSolver.solve`` always runs its own serial ego
+loop: a re-solve queue is far below the gate.  Above it a fresh pool
+serves the solve,
 preferring the ``fork`` start method — the parent installs the
 :class:`~repro.parallel.worker.WorkerContext` in a module global first,
 so the children inherit the adjacency masks through the address-space
 copy and nothing is pickled at all.  Platforms without ``fork`` fall
 back to ``spawn`` with the context packed into compact byte blobs; if
 no pool can be created at all, the same chunk runners execute
-in-process.  The three fan-outs share one dispatch scaffold
+in-process.  The two fan-outs share one dispatch scaffold
 (``_Fanout``): the shared incumbent, the worker context, the per-chunk
 accounting, the budget abort and the ``fanout`` span.
 
@@ -62,7 +64,7 @@ from .dispatch import ResilientDispatcher, preferred_start_method
 from .incumbent import SharedIncumbent
 from .tasks import chunk_vertices, cost_ordered, is_viable, plan_tasks
 from .worker import WorkerContext, install_context, \
-    run_dcc_chunk_task, run_dynamic_chunk_task, run_mdc_chunk_task
+    run_dcc_chunk_task, run_mdc_chunk_task
 
 __all__ = [
     "resolve_workers",
@@ -70,7 +72,6 @@ __all__ = [
     "preferred_start_method",
     "mbc_ego_fanout",
     "pf_round_fanout",
-    "dynamic_ego_fanout",
     "MIN_POOL_TASKS",
     "MIN_POOL_WORK",
 ]
@@ -97,9 +98,9 @@ def pool_pays(costs: Sequence[int], workers: int) -> bool:
     should start a process pool.
 
     The one pool decision of the package, made once per solve by the
-    solvers: ``mbc_star``, ``pf_star`` and ``DynamicSolver.solve`` call
-    their fan-out only when it holds and run their serial loop
-    otherwise; no fan-out asks it again.  Both thresholds are read
+    solvers: ``mbc_star`` and ``pf_star`` call their fan-out only when
+    it holds and run their serial sweep otherwise; no fan-out asks it
+    again.  Both thresholds are read
     from the module at call time, so setting them to 0 forces a pool
     for any task list.
     """
@@ -116,7 +117,7 @@ def resolve_workers(parallel: int | None) -> int:
 
 
 class _Fanout:
-    """The dispatch scaffold the three fan-outs share.
+    """The dispatch scaffold the two fan-outs share.
 
     One instance serves one solve: it owns the shared incumbent
     (starting at ``floor``), the :class:`WorkerContext` and the
@@ -272,63 +273,6 @@ def mbc_ego_fanout(
         return best
     u, members = best_witness
     return BalancedClique.from_anchor(u, members)
-
-
-def dynamic_ego_fanout(
-    pos_bits: list[int],
-    neg_bits: list[int],
-    n: int,
-    tau: int,
-    floor: int,
-    egos: list[int],
-    order: list[int],
-    workers: int,
-    use_core: bool = True,
-    use_coloring: bool = True,
-    stats: SearchStats | None = None,
-    trace: Tracer | None = None,
-    budget: "Budget | None" = None,
-    engine: str = "bitset",
-) -> "tuple[list[tuple[int, int, list[tuple[int, bool]] | None]], bool]":
-    """Dispatch the dynamic solver's re-solve queue through a pool.
-
-    Like :func:`mbc_ego_fanout` this takes the adjacency masks, not a
-    graph: the dynamic solver owns incrementally-maintained masks and
-    hands them over directly, with ``egos`` the subset of anchors whose
-    cached bounds cannot rule them out and ``floor`` the incumbent size
-    certified by cached witnesses.  Unlike it, the task set is explicit
-    rather than planned from an ordering.  The caller has already
-    decided that a pool pays (``DynamicSolver.solve`` asks
-    :func:`pool_pays` on its own candidate counts and runs its serial
-    loop otherwise), so ``workers > 1`` starts one.
-
-    Returns ``(outcomes, completed)``; each outcome is the worker's
-    ``(u, certified upper, members-or-None)`` triple.  Outcomes are
-    certified individually (see
-    :func:`repro.parallel.worker.run_dynamic_chunk`), so on budget
-    exhaustion the partial list is returned with ``completed=False``
-    and the caller commits what arrived — the unprocessed egos simply
-    stay dirty.  A pool failure resets the shared incumbent to the
-    floor certified by delivered witnesses, exactly as in
-    :func:`mbc_ego_fanout`.
-    """
-    tracer = trace if trace is not None else current_tracer()
-    if not egos:
-        return [], True
-    fan = _Fanout(pos_bits, neg_bits, n, tau, order, floor, workers,
-                  stats, tracer, budget, engine, use_core=use_core,
-                  use_coloring=use_coloring)
-    outcomes: "list[tuple[int, int, list[tuple[int, bool]] | None]]" = []
-    with fan.span(tasks=len(egos), workers=workers, dynamic=True,
-                  delivered=0) as fan_span:
-        for chunk_outcomes in fan.run(run_dynamic_chunk_task,
-                                      chunk_vertices(egos, workers)):
-            outcomes.extend(chunk_outcomes)
-            fan_span.count("delivered", len(chunk_outcomes))
-            for _u, upper, members in chunk_outcomes:
-                if members is not None:
-                    fan.certified = max(fan.certified, upper)
-    return outcomes, fan.completed
 
 
 def pf_round_fanout(

@@ -22,8 +22,7 @@ the same functions the serial MBC*/PF* sweeps call; the runners below
 only supply the bar and aggregate.  :func:`run_mdc_chunk` reads the
 bar from the shared incumbent at task start, so any worker's
 improvement tightens every later task in every process;
-:func:`run_dynamic_chunk` runs the same MDC step but reports every
-ego's certified bound; :func:`run_dcc_chunk` is the PF* analogue: one
+:func:`run_dcc_chunk` is the PF* analogue: one
 DCC feasibility question per vertex at the round's (or the live
 shared) ``tau*`` bar.
 """
@@ -50,14 +49,11 @@ __all__ = [
     "init_spawned_worker",
     "run_mdc_chunk",
     "run_dcc_chunk",
-    "run_dynamic_chunk",
     "run_mdc_chunk_task",
     "run_dcc_chunk_task",
-    "run_dynamic_chunk_task",
     "PackedContext",
     "MdcChunkResult",
     "DccChunkResult",
-    "DynamicChunkResult",
 ]
 
 #: :meth:`WorkerContext.pack` wire format — two mask byte blobs, the
@@ -83,17 +79,6 @@ MdcChunkResult = tuple[
 DccChunkResult = tuple[
     "list[tuple[int, int, list[tuple[int, bool]]]]",
     "SearchStats | None", "TraceBuffer | None", int]
-
-#: ``(outcomes, stats delta, trace delta, examined, skipped)`` per
-#: dynamic chunk; each outcome is ``(u, upper, members)`` — the
-#: anchor, its certified ego upper bound, and the exact witness
-#: ``[(vertex, is_left), ...]`` when the solve found one (``None``
-#: otherwise).  Unlike :data:`MdcChunkResult`, *every* examined ego
-#: reports back: the dynamic solver commits the bounds to its
-#: per-vertex cache.
-DynamicChunkResult = tuple[
-    "list[tuple[int, int, list[tuple[int, bool]] | None]]",
-    "SearchStats | None", "TraceBuffer | None", int, int]
 
 #: The per-process context (set by fork inheritance or the spawn
 #: initializer).  One solve at a time per pool.
@@ -236,18 +221,6 @@ def run_mdc_chunk(chunk: list[int]) -> MdcChunkResult:
     and ``examined`` / ``skipped`` count processed tasks and pre-bound
     skips for the dispatch report.
     """
-    outcomes, stats, buffer, examined, skipped = _mdc_outcomes(chunk)
-    # The first of the largest, as the chunk met them.
-    witness = max(((u, members) for u, _upper, members in outcomes
-                   if members is not None),
-                  key=lambda found: len(found[1]), default=None)
-    return witness, stats, buffer, examined, skipped
-
-
-def _mdc_outcomes(chunk: list[int],
-                  **chunk_attrs: object) -> DynamicChunkResult:
-    """The MDC ego step for every vertex of ``chunk``, each at the live
-    bar, as ``(u, certified upper, members-or-None)`` outcomes."""
     ctx = _CTX
     assert ctx is not None, "worker context not installed"
     tau = ctx.tau
@@ -259,10 +232,11 @@ def _mdc_outcomes(chunk: list[int],
     previous = install_tracer(tracer) if ctx.want_trace else None
     mdc_step = MDC_STEPS[ctx.engine]
     adjacency = ctx.adjacency()
-    outcomes: "list[tuple[int, int, list[tuple[int, bool]] | None]]" = []
+    # The first of the largest witnesses, as the chunk meets them.
+    witness: "tuple[int, list[tuple[int, bool]]] | None" = None
     skipped = 0
 
-    with tracer.span("chunk", size=len(chunk), **chunk_attrs):
+    with tracer.span("chunk", size=len(chunk)):
         for u in chunk:
             with tracer.span("ego", v=u) as ego:
                 # The bar, refreshed once per task from the shared
@@ -276,15 +250,16 @@ def _mdc_outcomes(chunk: list[int],
             if pruned == "bound":
                 skipped += 1
             if found is None or network is None:
-                outcomes.append((u, upper, None))
                 continue
             incumbent.improve(upper)
-            outcomes.append((u, upper, witness_members(network, found)))
+            members = witness_members(network, found)
+            if witness is None or len(members) > len(witness[1]):
+                witness = (u, members)
 
     if ctx.want_trace:
         install_tracer(previous)
     buffer = tracer.export_buffer() if ctx.want_trace else None
-    return outcomes, stats, buffer, len(chunk), skipped
+    return witness, stats, buffer, len(chunk), skipped
 
 
 def run_mdc_chunk_task(
@@ -310,34 +285,6 @@ def run_dcc_chunk_task(
     idx, attempt, payload = task
     fire_faults(idx, attempt)
     return idx, run_dcc_chunk(payload)
-
-
-def run_dynamic_chunk(chunk: list[int]) -> DynamicChunkResult:
-    """Re-solve the dirty ego instances of ``chunk`` for the dynamic
-    solver, reporting a certified bound per ego.
-
-    The per-ego body is :func:`run_mdc_chunk`'s, but instead of
-    keeping only the chunk's best witness, every examined ego yields an
-    ``(u, upper, members)`` outcome so the parent
-    :class:`repro.dynamic.DynamicSolver` can commit it to its
-    per-vertex cache.  ``upper`` is unconditionally certified (see
-    :mod:`repro.dichromatic.ego`), so outcomes stay committable even
-    when the dispatch is later truncated by a budget or survives a pool
-    failure; ``members`` (translated to graph ids worker-side) is
-    present exactly when the solve found the anchored optimum, which
-    the parent records as ``lower = upper``.
-    """
-    return _mdc_outcomes(chunk, dynamic=True)
-
-
-def run_dynamic_chunk_task(
-    task: "tuple[int, int, list[int]]",
-) -> "tuple[int, DynamicChunkResult]":
-    """Dispatch envelope for :func:`run_dynamic_chunk` (same
-    ``(index, attempt, payload)`` triple as :func:`run_mdc_chunk_task`)."""
-    idx, attempt, chunk = task
-    fire_faults(idx, attempt)
-    return idx, run_dynamic_chunk(chunk)
 
 
 def run_dcc_chunk(args: tuple[int, list[int]]) -> DccChunkResult:

@@ -17,7 +17,6 @@ from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_star
 from repro.core.result import BalancedClique, Status
 from repro.datasets.registry import load
-from repro.dynamic import solver as solver_module
 from repro.dynamic import (
     DynamicSolver,
     Edit,
@@ -26,6 +25,8 @@ from repro.dynamic import (
     random_edits,
 )
 from repro.obs import get_tracer, install_tracer
+from repro.parallel import engine as engine_module
+from repro.parallel.dispatch import ResilientDispatcher
 from repro.resilience.budget import Budget
 from repro.signed.graph import NEGATIVE, POSITIVE, SignedGraph
 
@@ -242,20 +243,21 @@ class TestIncrementalSolve:
 
 
 class TestSerialPath:
-    """Below the pool gate a re-solve is the solver's own ego loop:
-    it never enters ``repro.parallel``'s dispatch, at ``parallel=0``
-    or at ``parallel=2``."""
+    """A re-solve is the solver's own ego loop: it never enters
+    ``repro.parallel``'s dispatch, at ``parallel=0`` or at
+    ``parallel=2``, even with the pool gate forced open."""
 
     @pytest.mark.parametrize("engine,parallel", [
         *((engine, 0) for engine in SOLVER_ENGINES),
         *((engine, 2) for engine in PARALLEL_ENGINES)])
     def test_serial_solves_never_reach_the_dispatcher(
             self, engine, parallel, monkeypatch):
-        def no_fanout(*_args, **_kwargs):
-            raise AssertionError("a serial solve reached the fan-out")
+        def no_dispatch(*_args, **_kwargs):
+            raise AssertionError("a serial solve reached the dispatcher")
 
-        monkeypatch.setattr(solver_module, "dynamic_ego_fanout",
-                            no_fanout)
+        monkeypatch.setattr(ResilientDispatcher, "__init__", no_dispatch)
+        monkeypatch.setattr(engine_module, "MIN_POOL_TASKS", 0)
+        monkeypatch.setattr(engine_module, "MIN_POOL_WORK", 0)
         graph = random_graph(7)
         solver = DynamicSolver(graph, tau=1, engine=engine,
                                parallel=parallel)

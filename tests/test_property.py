@@ -39,7 +39,7 @@ from repro.dynamic import DynamicSolver, apply_edit, random_edits
 from repro.kernels.active import degeneracy_ordering_array, \
     degeneracy_ordering_mask, k_core_active_mask, k_core_array
 from repro.kernels.bitset import bits_of, mask_of
-from repro.obs import get_tracer, install_tracer
+from repro.obs import get_tracer
 from repro.parallel import dispatch as dispatch_module
 from repro.parallel import engine as engine_module
 from repro.signed.graph import SignedGraph
@@ -428,31 +428,6 @@ class TestDynamicDifferential:
     def test_edit_scripts_match_under_fanout(self, seed):
         for engine in PARALLEL_ENGINES:
             self._run_script(seed, engine, workers=2)
-
-    @pytest.mark.parametrize(
-        "seed",
-        range(BASE_SEED, BASE_SEED + SWEEP, SWEEP // PARALLEL_SAMPLE))
-    def test_edit_scripts_match_under_forced_fanout(self, seed,
-                                                    forced_fanout):
-        """The cells above sit below the pool gate and re-solve
-        serially; with the gate forced open every re-solve goes
-        through ``dynamic_ego_fanout``, on a real pool or on the
-        in-process chunk runner."""
-        tracer = get_tracer(True)
-        previous = install_tracer(tracer)
-        try:
-            for engine in PARALLEL_ENGINES:
-                self._run_script(seed, engine, workers=2)
-        finally:
-            install_tracer(previous)
-        fanouts = [r for r in tracer.records if r["name"] == "fanout"]
-        resolves = [r for r in tracer.records
-                    if r["name"] == "dynamic_solve"
-                    and not r["attrs"].get("skipped")]
-        # Every solve that had a queue fanned it out, and only those.
-        assert len(fanouts) == len(resolves), f"seed={seed}"
-        assert all(r["attrs"]["dynamic"] is True for r in fanouts)
-        assert_fanouts_ran(tracer, forced_fanout)
 
 
 class TestServeDifferential:
