@@ -53,9 +53,9 @@ def mbc_heuristic(
         initial bound far more robust).
     engine:
         ``"bitset"`` (default) and ``"numpy"`` grow the clique straight
-        on the graph's cached adjacency masks (one pass per anchor
-        touches only a few masks, so there is nothing for the matrix
-        kernels to batch); ``"set"`` is the original implementation.
+        on the graph's cached adjacency masks (numpy = vectorised
+        MDC/DCC search, everything else shared, and the heuristic has
+        no search); ``"set"`` is the original implementation.
         The mask growth picks the lowest id among equal-degree
         candidates and anchors are ranked stably by id; the set
         engine's ties follow set iteration order, so its greedy result

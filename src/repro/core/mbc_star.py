@@ -26,7 +26,7 @@ lets gMBC* seed the search with ``(2 tau - 1)``-cores.
 from __future__ import annotations
 
 from ..dichromatic.ego import MDC_STEPS, ego_adjacency, witness_members
-from ..kernels import engine_spec, npmask, validate_engine
+from ..kernels import engine_spec, validate_engine
 from ..kernels.active import degeneracy_ordering_array, k_core_array
 from ..kernels.bitset import bits_of, mask_of
 from ..obs import Tracer, current_tracer
@@ -90,14 +90,14 @@ def mbc_star(
         Ablation switches for the colouring-bound and core-reduction
         pruning (both on by default, as in the paper).
     engine:
-        Which ego step of :mod:`repro.dichromatic.ego` runs each
-        vertex: ``"bitset"`` (default) runs the per-instance kernels
-        and the MDC search on int-mask adjacency (see
-        :mod:`repro.kernels`);
-        ``"numpy"`` runs them on vectorised uint64 mask matrices
-        (:mod:`repro.kernels.npmask`); ``"set"`` is the original
-        adjacency-set path, retained for differential testing and the
-        ablation benchmarks.
+        ``"bitset"`` (default) runs every phase -- reductions,
+        ordering, the ego step of :mod:`repro.dichromatic.ego` and the
+        MDC search -- on int-mask adjacency (see :mod:`repro.kernels`).
+        ``"numpy"`` = vectorised MDC/DCC search, everything else
+        shared: the same phases, with the MDC branch and bound on
+        uint64 mask rows (:mod:`repro.kernels.npmask`).  ``"set"`` is
+        the original adjacency-set path, retained for differential
+        testing and the ablation benchmarks.
     parallel:
         Number of worker processes for the ego-network sweep.  ``0`` or
         ``1`` run the serial sweep; larger values fan the per-vertex
@@ -199,7 +199,7 @@ def _pipeline(
                 working.isolate_vertex(v)
         with tracer.span("edge_reduction",
                          edges=working.num_edges) as phase:
-            reducer = edge_reduction_fast if engine == "bitset" \
+            reducer = edge_reduction_fast if engine != "set" \
                 else edge_reduction
             working = reducer(working, tau)
             survivors = vertex_reduction(working, tau)
@@ -232,7 +232,7 @@ def _pipeline(
     # room for tau vertices per side.  Degrees count inside ``alive``.
     required = max(best.size + 1, 2 * tau)
     with tracer.span("core_reduction", required=required) as phase:
-        if engine == "bitset":
+        if engine != "set":
             # Degrees inside ``alive`` are popcounts of the signed
             # masks; the peel walks the flat neighbour array, and leaves
             # ``degree`` holding the degrees inside the core.
@@ -242,15 +242,6 @@ def _pipeline(
             inside = k_core_array(offsets, targets, required - 1,
                                   members, degree)
             core = [v for v in members if inside[v]]
-        elif engine == "numpy":
-            # Label-blind adjacency straight from the signed matrices;
-            # no UnsignedGraph object is needed on this path.
-            unsigned_mat = (working.pos_adjacency_matrix()
-                            | working.neg_adjacency_matrix())
-            alive_row = npmask.row_from_mask(alive, n)
-            core_row = npmask.k_core_active(
-                unsigned_mat, required - 1, alive_row)
-            core = npmask.row_indices(core_row, n).tolist()
         else:
             unsigned = UnsignedGraph.from_signed(working)
             core = sorted(k_core_subset(
@@ -264,28 +255,21 @@ def _pipeline(
     # vertices).
     with tracer.span("ordering", kind=ordering) as phase:
         if ordering == "degeneracy":
-            if engine == "bitset":
+            if engine != "set":
                 # Ordering the core-induced subgraph suffices: every
                 # clique able to beat the incumbent lies inside the
                 # |C*|-core, and the sweep only ever ranks core vertices.
                 order = degeneracy_ordering_array(
                     offsets, targets, core, degree)
-            elif engine == "numpy":
-                order = npmask.degeneracy_ordering(
-                    unsigned_mat, core_row)
             else:
                 core_set = set(core)
                 order = [v for v in degeneracy_ordering(
                     unsigned, survivors) if v in core_set]
         elif ordering == "degree":
             # Non-decreasing degree inside ``alive``, ties by id.
-            if engine == "bitset":
+            if engine != "set":
                 degree = degrees_inside(working, members, alive)
                 order = sorted(core, key=degree.__getitem__)
-            elif engine == "numpy":
-                degrees = npmask.degrees_in_active(
-                    unsigned_mat, alive_row)
-                order = sorted(core, key=lambda v: int(degrees[v]))
             else:
                 order = sorted(core, key=lambda v: len(
                     unsigned.neighbors(v) & survivors))
@@ -303,7 +287,7 @@ def _pipeline(
         if workers > 1 and not check_only:
             pos_bits = working.pos_adjacency_bits()
             neg_bits = working.neg_adjacency_bits()
-            if engine == "bitset" and ordering == "degeneracy":
+            if engine != "set" and ordering == "degeneracy":
                 later = degree
             else:
                 later = planned_later(pos_bits, neg_bits, order)

@@ -25,12 +25,12 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from ..dichromatic.ego import DCC_STEPS, ego_adjacency, witness_members
-from ..kernels import engine_spec, npmask, validate_engine
+from ..kernels import engine_spec, validate_engine
 from ..kernels.active import degeneracy_ordering_array
 from ..kernels.bitset import bits_of, mask_of
 from ..obs import Tracer, current_tracer
 from ..parallel.engine import pf_round_fanout, pool_pays, resolve_workers
-from ..parallel.tasks import peel_costs, planned_later
+from ..parallel.tasks import peel_costs
 from ..resilience.budget import Budget, BudgetExceeded
 from ..signed.graph import SignedGraph
 from ..unsigned.graph import UnsignedGraph
@@ -202,11 +202,12 @@ def pf_star(
     return_witness:
         Also return a balanced clique achieving the factor.
     engine:
-        Which ego step of :mod:`repro.dichromatic.ego` runs the
-        per-vertex candidate bound, bicore reduction and DCC check:
-        ``"bitset"`` (default) on int-mask adjacency, ``"numpy"`` on
-        vectorised uint64 mask matrices; ``"set"`` is the original
-        adjacency-set path.
+        ``"bitset"`` (default) runs the ordering and the DCC ego step
+        of :mod:`repro.dichromatic.ego` (candidate bound, bicore
+        reduction, DCC check) on int-mask adjacency.  ``"numpy"`` =
+        vectorised MDC/DCC search, everything else shared: the same
+        phases, with the DCC branch and bound on uint64 mask rows.
+        ``"set"`` is the original adjacency-set path.
     parallel:
         Number of worker processes.  ``0``/``1`` run the serial sweep;
         larger values run the round-based fan-out of
@@ -306,21 +307,13 @@ def _pf_pipeline(
             # (see polar_core_numbers); the gate is calibrated on them.
             order, pn = polar_core_numbers(
                 graph, alive, later=later if pooling else None)
-        elif engine == "bitset":
+        elif engine != "set":
             members = bits_of(alive)
             offsets, targets = graph.neighbor_array()
             degree = degrees_inside(graph, members, alive)
             order = degeneracy_ordering_array(
                 offsets, targets, members, degree)
             later = degree
-        elif engine == "numpy":
-            unsigned_mat = (graph.pos_adjacency_matrix()
-                            | graph.neg_adjacency_matrix())
-            order = npmask.degeneracy_ordering(
-                unsigned_mat, npmask.row_from_mask(alive, n))
-            if pooling:
-                later = planned_later(graph.pos_adjacency_bits(),
-                                      graph.neg_adjacency_bits(), order)
         else:
             order = degeneracy_ordering(
                 UnsignedGraph.from_signed(graph), survivors)

@@ -31,25 +31,18 @@ covered by property tests.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Container
+from typing import Container
 
-from ..kernels import npmask
 from ..kernels.bitset import bits_of
 from ..signed.graph import SignedGraph
 from .graph import DichromaticGraph
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..kernels.npmask import Matrix, Row
 
 __all__ = [
     "build_dichromatic_network",
     "build_dichromatic_network_bits",
     "dichromatic_network_from_masks",
-    "build_dichromatic_network_matrix",
-    "dichromatic_network_from_matrix",
     "ego_network_edge_count",
     "ego_edge_count_from_masks",
-    "ego_edge_count_from_matrix",
 ]
 
 
@@ -184,48 +177,6 @@ def dichromatic_network_from_masks(
     return DichromaticGraph.from_masks(is_left, origin, adjacency)
 
 
-def build_dichromatic_network_matrix(
-    graph: SignedGraph,
-    u: int,
-    allowed_row: "Row | None" = None,
-) -> DichromaticGraph:
-    """Matrix fast path of :func:`build_dichromatic_network`.
-
-    The ``engine="numpy"`` analogue of
-    :func:`build_dichromatic_network_bits`: side filtering is two
-    vectorised ANDs against ``u``'s adjacency rows, and the per-edge
-    translation loop collapses into one gather/pack pass
-    (:func:`repro.kernels.npmask.dichromatic_adjacency`).  The returned
-    network is matrix-backed (:meth:`DichromaticGraph.from_matrix`).
-    """
-    return dichromatic_network_from_matrix(
-        graph.pos_adjacency_matrix(), graph.neg_adjacency_matrix(),
-        u, allowed_row)
-
-
-def dichromatic_network_from_matrix(
-    pos_mat: "Matrix",
-    neg_mat: "Matrix",
-    u: int,
-    allowed_row: "Row | None" = None,
-) -> DichromaticGraph:
-    """:func:`build_dichromatic_network_matrix` over raw mask matrices
-    (the representation the numpy-engine parallel workers hold)."""
-    n = pos_mat.shape[0]
-    pos_u = pos_mat[u]
-    neg_u = neg_mat[u]
-    if allowed_row is not None:
-        pos_u = pos_u & allowed_row
-        neg_u = neg_u & allowed_row
-    left = npmask.row_indices(pos_u, n).tolist()
-    right = npmask.row_indices(neg_u, n).tolist()
-    origin = left + right
-    is_left = [True] * len(left) + [False] * len(right)
-    adjacency = npmask.dichromatic_adjacency(
-        pos_mat, neg_mat, origin, len(left), n)
-    return DichromaticGraph.from_matrix(is_left, origin, adjacency)
-
-
 def ego_network_edge_count(
     graph: SignedGraph,
     u: int,
@@ -268,21 +219,3 @@ def ego_edge_count_from_masks(
         v = low.bit_length() - 1
         count += ((pos_bits[v] | neg_bits[v]) & members).bit_count()
     return count // 2
-
-
-def ego_edge_count_from_matrix(
-    pos_mat: "Matrix",
-    neg_mat: "Matrix",
-    u: int,
-    allowed_row: "Row | None" = None,
-) -> int:
-    """:func:`ego_edge_count_from_masks` over mask matrices.
-
-    Positive and negative edge sets are disjoint, so the two induced
-    counts sum to ``|E(G_u)|``.
-    """
-    members = pos_mat[u] | neg_mat[u]
-    if allowed_row is not None:
-        members = members & allowed_row
-    return (npmask.active_edge_count(pos_mat, members)
-            + npmask.active_edge_count(neg_mat, members))

@@ -13,6 +13,9 @@ Like MDC, the check runs on one of three engines: ``"bitset"``
 ``"numpy"`` carries it as a uint64 mask row over the vectorised
 kernels of :mod:`repro.kernels.npmask`, and ``"set"`` is the original
 adjacency-set implementation retained for differential testing.
+numpy = vectorised MDC/DCC search, everything else shared: a numpy
+check starts from the same network and ``active_mask`` as a bitset
+one and differs only in the search below.
 """
 
 from __future__ import annotations
@@ -42,23 +45,22 @@ def dichromatic_clique_check(
     active: set[int] | None = None,
     engine: str = "bitset",
     active_mask: int | None = None,
-    active_row: "Row | None" = None,
     trace: Tracer | None = None,
     budget: "Budget | None" = None,
 ) -> bool:
     """True iff ``graph`` has a dichromatic clique meeting the quotas.
 
     ``active`` optionally restricts the search to a vertex subset
-    (callers pass an already-core-reduced set); the bitset engine also
-    accepts it pre-packed as ``active_mask``, the numpy engine as an
-    ``active_row``.  ``trace`` defaults to the ambient tracer; each
-    check closes one ``dcc`` span.  A ``budget`` is charged one node
-    per branch-and-bound node.
+    (callers pass an already-core-reduced set); the bitset and numpy
+    engines also accept it pre-packed as ``active_mask``.  ``trace``
+    defaults to the ambient tracer; each check closes one ``dcc``
+    span.  A ``budget`` is charged one node per branch-and-bound
+    node.
     """
     return dichromatic_clique_witness(
         graph, tau_l, tau_r, stats=stats, active=active,
-        engine=engine, active_mask=active_mask, active_row=active_row,
-        trace=trace, budget=budget) is not None
+        engine=engine, active_mask=active_mask, trace=trace,
+        budget=budget) is not None
 
 
 def dichromatic_clique_witness(
@@ -69,7 +71,6 @@ def dichromatic_clique_witness(
     active: set[int] | None = None,
     engine: str = "bitset",
     active_mask: int | None = None,
-    active_row: "Row | None" = None,
     trace: Tracer | None = None,
     budget: "Budget | None" = None,
 ) -> set[int] | None:
@@ -82,8 +83,8 @@ def dichromatic_clique_witness(
         engine=engine)
     with span:
         found = _witness(graph, tau_l, tau_r, stats, active, engine,
-                         active_mask, active_row,
-                         span if tracer.enabled else None, budget)
+                         active_mask, span if tracer.enabled else None,
+                         budget)
         if tracer.enabled:
             span.set(found=found is not None)
     return found
@@ -97,7 +98,6 @@ def _witness(
     active: set[int] | None,
     engine: str,
     active_mask: int | None,
-    active_row: "Row | None",
     span: Span | None,
     budget: "Budget | None",
 ) -> set[int] | None:
@@ -112,27 +112,19 @@ def _witness(
                   budget):
             return set(witness)
         return None
-    if engine == "numpy":
-        if active_row is None:
-            if active_mask is not None:
-                active_row = npmask.row_from_mask(
-                    active_mask, graph.num_vertices)
-            elif active is not None:
-                active_row = npmask.row_from_mask(
-                    mask_of(active), graph.num_vertices)
-            else:
-                active_row = graph.all_row()
-        if _check_np(
-                graph.adjacency_matrix(), graph.left_row(),
-                graph.num_vertices, active_row, tau_l, tau_r, stats,
-                witness, span, budget):
-            return set(witness)
-        return None
     if active_mask is None:
         if active is None:
             active_mask = graph.all_bits()
         else:
             active_mask = mask_of(active)
+    if engine == "numpy":
+        if _check_np(
+                graph.adjacency_matrix(), graph.left_row(),
+                graph.num_vertices,
+                npmask.row_from_mask(active_mask, graph.num_vertices),
+                tau_l, tau_r, stats, witness, span, budget):
+            return set(witness)
+        return None
     if _check_bits(
             graph.adjacency_bits(), graph.left_bits(), graph.num_vertices,
             active_mask, tau_l, tau_r, stats, witness, span, budget):

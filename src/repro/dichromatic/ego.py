@@ -1,10 +1,11 @@
-"""One ego step per engine: the per-vertex body of MBC* and PF*.
+"""The ego step: the per-vertex body of MBC* and PF*.
 
 Algorithms 2 and 4 give every vertex ``u`` of the sweep one fixed
 step: build the dichromatic network ``g_u`` over ``u``'s higher-ranked
 neighbours, prune it with the core and colouring bounds (the
 ``(tau_L, tau_R)``-core for PF*), then solve MDC or ask DCC.  This
-module writes that step once per engine; the serial sweeps of
+module writes that step twice: once on the signed masks, once on the
+set reference.  The serial sweeps of
 :func:`repro.core.mbc_star.mbc_star` and :func:`repro.core.pf.pf_star`,
 the pool chunk runners of :mod:`repro.parallel.worker` and
 :class:`repro.dynamic.DynamicSolver` all call it.
@@ -21,7 +22,7 @@ The prune chains, cheapest test first:
   then the network and
   :func:`~repro.dichromatic.dcc.dichromatic_clique_witness`.
 
-Most egos die at the core test, so the bitset steps run it before
+Most egos die at the core test, so the mask steps run it before
 building anything: :func:`ego_k_core` and :func:`ego_bicore` peel
 ``g_u``'s core on the graph's global masks, where a vertex's degree in
 ``g_u`` is two popcounts.  The peel keeps exactly the vertices the
@@ -29,11 +30,14 @@ built network's core keeps, so a too-small core is the same ``"core"``
 prune with the same ``upper``, and a survivor builds the network and
 runs the unchanged chain (its local core equals the peel), leaving
 witnesses, prune reasons and :class:`SearchStats` as they were.  The
-numpy and set steps build first and peel the network.
+set step builds first and peels the network.
 
-Each engine holds the adjacency in its own form — ``(pos_bits,
-neg_bits)`` int-mask lists for ``"bitset"``, ``(pos_mat, neg_mat)``
-uint64 matrices for ``"numpy"``, the :class:`SignedGraph` itself for
+numpy = vectorised MDC/DCC search, everything else shared: the
+``"numpy"`` steps are the mask steps with ``engine="numpy"`` bound,
+which hands the built network's core to the uint64-row search of
+:mod:`repro.kernels.npmask` instead of the int-mask one.  So the
+adjacency takes two forms — ``(pos_bits, neg_bits)`` int-mask lists
+for ``"bitset"`` and ``"numpy"``, the :class:`SignedGraph` itself for
 ``"set"`` — and every step takes ``allowed``, the higher-ranked
 vertices, as an int mask.  Every step returns an :data:`EgoOutcome`
 ``(pruned, upper, network, witness)``:
@@ -62,9 +66,9 @@ checkpoints and what to do with a witness.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
-from ..kernels import npmask
 from ..kernels.bitset import bits_of
 from ..kernels.active import (
     active_edge_count_mask,
@@ -76,8 +80,7 @@ from ..obs import NULL_SPAN, Span, Tracer
 from ..resilience.budget import Budget
 from ..signed.graph import SignedGraph
 from .build import build_dichromatic_network, \
-    dichromatic_network_from_masks, dichromatic_network_from_matrix, \
-    ego_edge_count_from_masks, ego_edge_count_from_matrix, \
+    dichromatic_network_from_masks, ego_edge_count_from_masks, \
     ego_network_edge_count
 from .cores import bicore_active, coloring_upper_bound_active, \
     k_core_active
@@ -87,7 +90,6 @@ from .mdc import solve_mdc
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.stats import SearchStats
-    from ..kernels.npmask import Matrix
 
 __all__ = [
     "EgoOutcome",
@@ -98,10 +100,8 @@ __all__ = [
     "ego_bicore",
     "witness_members",
     "mdc_step_bits",
-    "mdc_step_np",
     "mdc_step_set",
     "dcc_step_bits",
-    "dcc_step_np",
     "dcc_step_set",
 ]
 
@@ -112,14 +112,11 @@ EgoOutcome = tuple[
 
 
 def ego_adjacency(graph: SignedGraph, engine: str) -> object:
-    """``graph``'s adjacency in ``engine``'s form for the steps below
-    (the graph's cached masks or matrices; the graph itself for
-    ``"set"``)."""
-    if engine == "bitset":
-        return graph.pos_adjacency_bits(), graph.neg_adjacency_bits()
-    if engine == "numpy":
-        return graph.pos_adjacency_matrix(), graph.neg_adjacency_matrix()
-    return graph
+    """``graph``'s adjacency in ``engine``'s form for the steps below:
+    the graph itself for ``"set"``, its cached signed masks otherwise."""
+    if engine == "set":
+        return graph
+    return graph.pos_adjacency_bits(), graph.neg_adjacency_bits()
 
 
 def witness_members(network: DichromaticGraph,
@@ -265,10 +262,13 @@ def mdc_step_bits(
     ego: Span = NULL_SPAN,
     check_only: bool = False,
     budget: "Budget | None" = None,
+    engine: str = "bitset",
 ) -> EgoOutcome:
-    """MBC*'s ego step on the bitset engine: the largest balanced
+    """MBC*'s ego step on the signed masks: the largest balanced
     clique through ``u`` inside ``allowed`` with both sides ``>= tau``,
-    if it has at least ``required`` vertices."""
+    if it has at least ``required`` vertices.  ``engine`` picks the
+    :func:`~repro.dichromatic.mdc.solve_mdc` search (``"bitset"`` or
+    ``"numpy"``); everything before it is the same mask code."""
     pos_bits, neg_bits = adjacency
     pos_count = (pos_bits[u] & allowed).bit_count()
     neg_count = (neg_bits[u] & allowed).bit_count()
@@ -302,57 +302,7 @@ def mdc_step_bits(
     found = solve_mdc(
         network, tau - 1, tau, must_exceed=required - 2, stats=stats,
         check_only=check_only, use_coloring=use_coloring,
-        use_core=use_core, engine="bitset", active_mask=active,
-        trace=tracer, budget=budget)
-    return _mdc_solved(ego, required, network, found)
-
-
-def mdc_step_np(
-    adjacency: "tuple[Matrix, Matrix]",
-    u: int,
-    allowed: int,
-    tau: int,
-    required: int,
-    *,
-    use_core: bool = True,
-    use_coloring: bool = True,
-    stats: "SearchStats | None" = None,
-    tracer: "Tracer | None" = None,
-    ego: Span = NULL_SPAN,
-    check_only: bool = False,
-    budget: "Budget | None" = None,
-) -> EgoOutcome:
-    """:func:`mdc_step_bits` on the numpy engine's mask matrices."""
-    pos_mat, neg_mat = adjacency
-    allowed_row = npmask.row_from_mask(allowed, pos_mat.shape[0])
-    pos_count = npmask.degree_in_active(pos_mat, u, allowed_row)
-    neg_count = npmask.degree_in_active(neg_mat, u, allowed_row)
-    if pos_count < tau - 1 or neg_count < tau:
-        return _pruned(ego, "bound", 0)
-    if pos_count + neg_count + 1 < required:
-        return _pruned(ego, "bound", pos_count + neg_count + 1)
-    network = dichromatic_network_from_matrix(
-        pos_mat, neg_mat, u, allowed_row)
-    adj = network.adjacency_matrix()
-    active = network.all_row()
-    if use_core:
-        active = npmask.k_core_active(adj, required - 2, active)
-    reduced = npmask.row_count(active)
-    if reduced + 1 < required:
-        return _pruned(ego, "core", required - 1)
-    if use_coloring and \
-            npmask.coloring_upper_bound_active(adj, active) < required - 1:
-        return _pruned(ego, "color", required - 1)
-    ego.set(n=network.num_vertices, reduced=reduced)
-    if stats is not None:
-        stats.instances += 1
-        stats.record_reduction(
-            ego_edge_count_from_matrix(pos_mat, neg_mat, u, allowed_row),
-            network.num_edges, npmask.active_edge_count(adj, active))
-    found = solve_mdc(
-        network, tau - 1, tau, must_exceed=required - 2, stats=stats,
-        check_only=check_only, use_coloring=use_coloring,
-        use_core=use_core, engine="numpy", active_row=active,
+        use_core=use_core, engine=engine, active_mask=active,
         trace=tracer, budget=budget)
     return _mdc_solved(ego, required, network, found)
 
@@ -423,9 +373,13 @@ def dcc_step_bits(
     tracer: "Tracer | None" = None,
     ego: Span = NULL_SPAN,
     budget: "Budget | None" = None,
+    engine: str = "bitset",
 ) -> EgoOutcome:
-    """PF*'s ego step on the bitset engine: is there a balanced clique
+    """PF*'s ego step on the signed masks: is there a balanced clique
     through ``u`` inside ``allowed`` with polarization ``> bar``?
+    ``engine`` picks the
+    :func:`~repro.dichromatic.dcc.dichromatic_clique_witness` search
+    (``"bitset"`` or ``"numpy"``), as in :func:`mdc_step_bits`.
 
     An anchored clique has at most ``pos + 1`` vertices on ``u``'s side
     and ``neg`` on the other, so its polarization is at most ``cap =
@@ -455,48 +409,8 @@ def dcc_step_bits(
             ego_edge_count_from_masks(pos_bits, neg_bits, u, allowed),
             network.num_edges, active_edge_count_mask(adj, active))
     found = dichromatic_clique_witness(
-        network, bar, bar + 1, stats=stats, engine="bitset",
+        network, bar, bar + 1, stats=stats, engine=engine,
         active_mask=active, trace=tracer, budget=budget)
-    return _dcc_solved(ego, bar, cap, network, found)
-
-
-def dcc_step_np(
-    adjacency: "tuple[Matrix, Matrix]",
-    u: int,
-    allowed: int,
-    bar: int,
-    *,
-    stats: "SearchStats | None" = None,
-    tracer: "Tracer | None" = None,
-    ego: Span = NULL_SPAN,
-    budget: "Budget | None" = None,
-) -> EgoOutcome:
-    """:func:`dcc_step_bits` on the numpy engine's mask matrices."""
-    pos_mat, neg_mat = adjacency
-    allowed_row = npmask.row_from_mask(allowed, pos_mat.shape[0])
-    cap = min(npmask.degree_in_active(pos_mat, u, allowed_row) + 1,
-              npmask.degree_in_active(neg_mat, u, allowed_row))
-    if cap <= bar:
-        return _pruned(ego, "bound", cap)
-    network = dichromatic_network_from_matrix(
-        pos_mat, neg_mat, u, allowed_row)
-    adj = network.adjacency_matrix()
-    left = network.left_row()
-    active = npmask.bicore_active(adj, left, bar, bar + 1,
-                                  network.all_row())
-    left_count = npmask.row_count(active & left)
-    if left_count < bar or npmask.row_count(active) - left_count \
-            < bar + 1:
-        return _pruned(ego, "core", bar)
-    ego.set(n=network.num_vertices)
-    if stats is not None:
-        stats.instances += 1
-        stats.record_reduction(
-            ego_edge_count_from_matrix(pos_mat, neg_mat, u, allowed_row),
-            network.num_edges, npmask.active_edge_count(adj, active))
-    found = dichromatic_clique_witness(
-        network, bar, bar + 1, stats=stats, engine="numpy",
-        active_row=active, trace=tracer, budget=budget)
     return _dcc_solved(ego, bar, cap, network, found)
 
 
@@ -535,10 +449,15 @@ def dcc_step_set(
     return _dcc_solved(ego, bar, cap, network, found)
 
 
-#: The MDC step of each engine, by engine name.
+#: The MDC step of each engine, by engine name: numpy is the mask step
+#: with the vectorised search.
 MDC_STEPS: "dict[str, Callable[..., EgoOutcome]]" = {
-    "bitset": mdc_step_bits, "numpy": mdc_step_np, "set": mdc_step_set}
+    "bitset": mdc_step_bits,
+    "numpy": partial(mdc_step_bits, engine="numpy"),
+    "set": mdc_step_set}
 
-#: The DCC step of each engine, by engine name.
+#: The DCC step of each engine, by engine name (numpy as above).
 DCC_STEPS: "dict[str, Callable[..., EgoOutcome]]" = {
-    "bitset": dcc_step_bits, "numpy": dcc_step_np, "set": dcc_step_set}
+    "bitset": dcc_step_bits,
+    "numpy": partial(dcc_step_bits, engine="numpy"),
+    "set": dcc_step_set}

@@ -86,36 +86,6 @@ class DichromaticGraph:
         network._left_row = None
         return network
 
-    @classmethod
-    def from_matrix(
-        cls,
-        is_left: Sequence[bool],
-        origin: Sequence[int],
-        matrix: "Matrix",
-    ) -> "DichromaticGraph":
-        """Build directly from a uint64 adjacency mask matrix.
-
-        The matrix-native ego-network builder
-        (:func:`repro.dichromatic.build.build_dichromatic_network_matrix`)
-        produces these; int masks and adjacency sets are materialized
-        lazily only if a non-array accessor is used.  ``matrix`` must be
-        symmetric and self-loop-free — callers own that invariant.
-        """
-        network = cls.__new__(cls)
-        network.is_left = list(is_left)
-        n = len(network.is_left)
-        if len(origin) != n or matrix.shape[0] != n:
-            raise ValueError(
-                f"expected {n} origin/matrix entries, got "
-                f"{len(origin)}/{matrix.shape[0]}")
-        network.origin = list(origin)
-        network._adj = None
-        network._adj_bits = None
-        network._adj_np = matrix
-        network._left_bits = None
-        network._left_row = None
-        return network
-
     def _sets(self) -> list[set[int]]:
         """Adjacency sets, materialized from the masks on first use."""
         if self._adj is None:
@@ -131,10 +101,7 @@ class DichromaticGraph:
     def num_edges(self) -> int:
         if self._adj_bits is not None:
             return sum(mask.bit_count() for mask in self._adj_bits) // 2
-        if self._adj is not None:
-            return sum(len(adj) for adj in self._adj) // 2
-        assert self._adj_np is not None
-        return npmask.matrix_edge_count(self._adj_np)
+        return sum(len(adj) for adj in self._sets()) // 2
 
     def vertices(self) -> range:
         return range(self.num_vertices)
@@ -154,19 +121,12 @@ class DichromaticGraph:
     def degree(self, v: int) -> int:
         if self._adj_bits is not None:
             return self._adj_bits[v].bit_count()
-        if self._adj is not None:
-            return len(self._adj[v])
-        assert self._adj_np is not None
-        return npmask.degree_in_active(
-            self._adj_np, v, self.all_row())
+        return len(self._sets()[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         if self._adj_bits is not None:
             return bool(self._adj_bits[u] & (1 << v))
-        if self._adj is not None:
-            return v in self._adj[u]
-        assert self._adj_np is not None
-        return npmask.test_bit(self._adj_np[u], v)
+        return v in self._sets()[u]
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -190,12 +150,7 @@ class DichromaticGraph:
         mutate the returned list or its entries between edits.
         """
         if self._adj_bits is None:
-            if self._adj is not None:
-                self._adj_bits = adjacency_masks(self._adj)
-            else:
-                assert self._adj_np is not None
-                self._adj_bits = npmask.masks_from_matrix(
-                    self._adj_np, self.num_vertices)
+            self._adj_bits = adjacency_masks(self._sets())
         return self._adj_bits
 
     def left_bits(self) -> int:
@@ -209,7 +164,7 @@ class DichromaticGraph:
         return full_mask(self.num_vertices)
 
     # ------------------------------------------------------------------
-    # Matrix adjacency (numpy kernel layer)
+    # Matrix adjacency (the numpy engine's MDC/DCC search)
     # ------------------------------------------------------------------
     def adjacency_matrix(self) -> "Matrix":
         """Adjacency as a uint64 mask matrix, built lazily and cached.

@@ -32,7 +32,10 @@ Three engines implement the identical search:
 * ``engine="numpy"`` carries the candidate set as a uint64 mask row
   over the vectorised kernels of :mod:`repro.kernels.npmask` — per-node
   degree recomputation, core peeling and the colouring bound all run
-  as whole-array operations;
+  as whole-array operations.  numpy = vectorised MDC/DCC search,
+  everything else shared: the network, its active mask and every
+  phase around the search are the bitset engine's, and the row is
+  built from ``active_mask`` here;
 * ``engine="set"`` is the original adjacency-set implementation, kept
   for differential testing and the ablation benchmarks.
 """
@@ -79,7 +82,6 @@ def solve_mdc(
     use_core: bool = True,
     engine: str = "bitset",
     active_mask: int | None = None,
-    active_row: "Row | None" = None,
     trace: Tracer | None = None,
     budget: "Budget | None" = None,
 ) -> set[int] | None:
@@ -113,12 +115,10 @@ def solve_mdc(
         ``"bitset"`` (default), ``"numpy"`` or ``"set"`` — see the
         module docstring.
     active_mask:
-        Bitset-engine fast path for ``active``: callers that already
-        hold the active set as a mask (MBC* after its mask-based core
-        reduction) pass it here to skip a set/mask round-trip.
-    active_row:
-        Numpy-engine analogue of ``active_mask``: the active set as a
-        uint64 mask row (MBC*/PF* pass their already-peeled row).
+        Mask form of ``active`` for the bitset and numpy engines:
+        callers that already hold the active set as a mask (the ego
+        steps after their mask-based core reduction) pass it here to
+        skip a set/mask round-trip.
     trace:
         Optional :class:`repro.obs.Tracer`; defaults to the ambient
         tracer.  Each instance closes one ``mdc`` span recording the
@@ -142,7 +142,7 @@ def solve_mdc(
         found = _solve(
             graph, tau_l, tau_r, must_exceed, stats, check_only,
             active, use_coloring, use_core, engine, active_mask,
-            active_row, span if tracer.enabled else None, budget)
+            span if tracer.enabled else None, budget)
         if tracer.enabled:
             span.set(found=found is not None)
             nodes = span.attrs.get("nodes", 0)
@@ -163,7 +163,6 @@ def _solve(
     use_core: bool,
     engine: str,
     active_mask: int | None,
-    active_row: "Row | None",
     span: Span | None,
     budget: "Budget | None",
 ) -> set[int] | None:
@@ -184,32 +183,25 @@ def _solve(
             return found.clique
         return state.best
 
+    if active_mask is None:
+        if active is None:
+            active_mask = graph.all_bits()
+        else:
+            active_mask = mask_of(active)
     if engine == "numpy":
-        if active_row is None:
-            if active_mask is not None:
-                active_row = npmask.row_from_mask(
-                    active_mask, graph.num_vertices)
-            elif active is not None:
-                active_row = npmask.row_from_mask(
-                    mask_of(active), graph.num_vertices)
-            else:
-                active_row = graph.all_row()
         state_n = _ArrayState(graph, must_exceed, stats)
         state_n.use_coloring = use_coloring
         state_n.use_core = use_core
         state_n.span = span
         state_n.budget = budget
         try:
-            state_n.search([], active_row, tau_l, tau_r, check_only)
+            state_n.search(
+                [], npmask.row_from_mask(active_mask, graph.num_vertices),
+                tau_l, tau_r, check_only)
         except FeasibleFound as found:
             return found.clique
         return state_n.best
 
-    if active_mask is None:
-        if active is None:
-            active_mask = graph.all_bits()
-        else:
-            active_mask = mask_of(active)
     state_b = _BitsetState(graph, must_exceed, stats)
     state_b.use_coloring = use_coloring
     state_b.use_core = use_core

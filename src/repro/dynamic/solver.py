@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from ..core.result import EMPTY_RESULT, BalancedClique, SolveResult
 from ..dichromatic.ego import DCC_STEPS, MDC_STEPS, witness_members
-from ..kernels import engine_spec, npmask, validate_engine
+from ..kernels import engine_spec, validate_engine
 from ..kernels.active import degeneracy_ordering_mask
 from ..obs import current_tracer
 from ..parallel.engine import resolve_workers
@@ -565,13 +565,10 @@ class DynamicSolver:
         return EMPTY_RESULT
 
     def _ego_adjacency(self) -> object:
-        """The live graph in this solver's engine form for the ego
-        steps of :mod:`repro.dichromatic.ego` (numpy matrices are
-        rebuilt from the solver's bits, once per ``solve()`` or
-        ``beta()`` call that asks a question)."""
+        """The live graph as the ego steps of
+        :mod:`repro.dichromatic.ego` take it: the graph itself for
+        ``"set"``, the solver's maintained mask pair otherwise (numpy
+        differs from bitset only in the MDC/DCC search)."""
         if self._engine == "set":
             return self._graph
-        if self._engine == "numpy":
-            return (npmask.matrix_from_masks(self._pos_bits, self._n),
-                    npmask.matrix_from_masks(self._neg_bits, self._n))
         return self._pos_bits, self._neg_bits

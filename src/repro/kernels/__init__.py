@@ -8,9 +8,11 @@ bound) behind the solver-facing ``engine=`` seam:
   differential testing and the ablation benchmarks;
 * ``"bitset"`` — vertex subsets packed into arbitrary-precision ints
   (:mod:`repro.kernels.bitset` + :mod:`repro.kernels.active`);
-* ``"numpy"`` — contiguous uint64 mask matrices with vectorised
-  popcount and batch peeling (:mod:`repro.kernels.npmask`); optional,
-  gated on numpy being importable.
+* ``"numpy"`` — numpy = vectorised MDC/DCC search, everything else
+  shared: the bitset engine's phases, with the branch and bound on
+  uint64 mask matrices (vectorised popcount and batch peeling,
+  :mod:`repro.kernels.npmask`); optional, gated on numpy being
+  importable.
 
 Engines are described by :class:`EngineSpec` records in
 :data:`ENGINE_REGISTRY` — the single lookup that
@@ -96,8 +98,9 @@ register_engine(EngineSpec(
 ))
 register_engine(EngineSpec(
     name="numpy",
-    description="vectorised uint64 mask matrices",
-    representation="(n, ceil(n/64)) uint64 matrix + uint64 rows",
+    description="bitset phases, vectorised uint64 MDC/DCC search",
+    representation="int masks; (n, ceil(n/64)) uint64 matrix + rows "
+                   "inside the search",
     supports_parallel=True,
     probe=lambda: npmask.HAVE_NUMPY,
     requirement="numpy (pip install repro[numpy])",

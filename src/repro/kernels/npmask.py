@@ -1,24 +1,24 @@
-"""uint64 mask-matrix kernel backend (``engine="numpy"``).
+"""uint64 mask-matrix search kernels (``engine="numpy"``).
 
-The third adjacency engine.  Where :mod:`repro.kernels.bitset` packs a
-vertex subset into one arbitrary-precision Python int, this backend
-stores the whole adjacency structure as a contiguous
-``(n, ceil(n/64))`` uint64 **mask matrix** — row ``v`` is the
-neighbourhood mask of vertex ``v`` — and a vertex subset as one
-``(ceil(n/64),)`` uint64 **row**.  Set algebra is then elementwise
-``&``/``|``/``^`` over machine words, cardinality is a vectorised
-popcount (:data:`numpy.bitwise_count` where available, a branch-free
-SWAR fallback otherwise), and the peeling kernels strip whole
-frontiers per iteration instead of popping one vertex at a time.
+numpy = vectorised MDC/DCC search, everything else shared: the
+``"numpy"`` engine runs every phase of MBC*/PF* on the bitset engine's
+int masks and uses this module only inside the branch and bound of
+:mod:`repro.dichromatic.mdc` and :mod:`repro.dichromatic.dcc`.  Where
+:mod:`repro.kernels.bitset` packs a vertex subset into one
+arbitrary-precision Python int, the search here holds one ego
+network's adjacency as a contiguous ``(n, ceil(n/64))`` uint64 **mask
+matrix** — row ``v`` is the neighbourhood mask of vertex ``v`` — and a
+vertex subset as one ``(ceil(n/64),)`` uint64 **row**.  Set algebra is
+then elementwise ``&``/``|``/``^`` over machine words, cardinality is
+a vectorised popcount (:data:`numpy.bitwise_count` where available, a
+branch-free SWAR fallback otherwise), and the peeling kernels strip
+whole frontiers per iteration instead of popping one vertex at a
+time.
 
 Word layout is little-endian throughout — bit ``v`` of a row lives in
 word ``v >> 6`` at position ``v & 63`` — which makes the byte image of
 a row identical to ``mask.to_bytes(..., "little")`` of the equivalent
-int mask.  The blob converters therefore share their wire format with
-:func:`repro.kernels.bitset.masks_to_bytes` (stride
-``mask_stride(n)`` bytes per vertex), so a spawned worker can rebuild
-its matrices straight from the shipped blob without re-packing Python
-ints (:func:`matrix_from_bytes`).
+int mask, so the int/row converters are plain byte copies.
 
 numpy itself is an *optional* extra (``pip install repro[numpy]``).
 The module always imports — :data:`HAVE_NUMPY` records whether the
@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..obs import current_tracer
 from .active import first_fit_color_count
-from .bitset import mask_stride
 
 try:
     import numpy as np
@@ -58,24 +57,16 @@ __all__ = [
     "words_for",
     "popcount_words",
     "full_row",
-    "unit_row",
     "row_from_mask",
     "mask_from_row",
     "row_count",
     "row_bool",
     "row_indices",
     "bool_to_row",
-    "set_bit",
     "clear_bit",
     "test_bit",
     "matrix_from_masks",
     "masks_from_matrix",
-    "matrix_from_bools",
-    "induced_bool",
-    "matrix_to_bytes",
-    "matrix_from_bytes",
-    "dichromatic_adjacency",
-    "matrix_edge_count",
     "degrees_in_active",
     "subtract_members",
     "argmin_active",
@@ -84,8 +75,6 @@ __all__ = [
     "k_core_active",
     "bicore_active",
     "coloring_upper_bound_active",
-    "degeneracy_ordering",
-    "active_edge_count",
 ]
 
 #: Whether the backend is usable (numpy importable).
@@ -143,13 +132,6 @@ def full_row(n: int) -> "Row":
     return row
 
 
-def unit_row(v: int, n: int) -> "Row":
-    """Row holding the single vertex ``v``."""
-    row = np.zeros(words_for(n), dtype=np.uint64)
-    row[v >> 6] = np.uint64(1) << np.uint64(v & 63)
-    return row
-
-
 def row_from_mask(mask: int, n: int) -> "Row":
     """Convert an int mask (:mod:`repro.kernels.bitset`) into a row."""
     blob = mask.to_bytes(words_for(n) * _WORD_BYTES, "little")
@@ -191,11 +173,6 @@ def bool_to_row(flags: "BoolArray | Sequence[bool]", n: int) -> "Row":
     return words.view(_WORD_DTYPE).astype(np.uint64, copy=False)
 
 
-def set_bit(row: "Row", v: int) -> None:
-    """Insert vertex ``v`` into the row, in place."""
-    row[v >> 6] |= np.uint64(1) << np.uint64(v & 63)
-
-
 def clear_bit(row: "Row", v: int) -> None:
     """Remove vertex ``v`` from the row, in place."""
     row[v >> 6] &= ~(np.uint64(1) << np.uint64(v & 63))
@@ -226,102 +203,6 @@ def masks_from_matrix(mat: "Matrix", n: int) -> list[int]:
     return [
         int.from_bytes(blob[i * width:(i + 1) * width], "little")
         for i in range(mat.shape[0])]
-
-
-def matrix_from_bools(bools: "BoolArray") -> "Matrix":
-    """Pack a ``(k, n)`` bool adjacency into a ``(k, words)`` matrix."""
-    rows, cols = bools.shape
-    words = np.zeros(
-        (rows, words_for(cols) * _WORD_BYTES), dtype=np.uint8)
-    if rows > 0 and cols > 0:
-        packed = np.packbits(bools, axis=1, bitorder="little")
-        words[:, : packed.shape[1]] = packed
-    return words.view(_WORD_DTYPE).astype(np.uint64, copy=False)
-
-
-def induced_bool(
-    mat: "Matrix", members: "NDArray[np.intp]", n: int
-) -> "BoolArray":
-    """Dense bool adjacency of the induced subgraph ``mat[members]``.
-
-    Returns a ``(k, k)`` bool array where entry ``(i, j)`` says whether
-    ``members[i]`` and ``members[j]`` are adjacent — the gather step of
-    the matrix-native ego-network builder.
-    """
-    k = members.size
-    if k == 0:
-        return np.zeros((0, 0), dtype=bool)
-    bits = np.unpackbits(
-        mat[members].astype(_WORD_DTYPE, copy=False).view(
-            np.uint8).reshape(k, -1),
-        axis=1, bitorder="little")[:, :n]
-    return bits[:, members].astype(bool)
-
-
-def matrix_to_bytes(mat: "Matrix", n: int) -> bytes:
-    """Flatten a matrix to the :func:`masks_to_bytes` wire format.
-
-    ``n`` masks of ``mask_stride(n)`` bytes each, little-endian — byte
-    for byte the blob :func:`repro.kernels.bitset.masks_to_bytes`
-    produces for the equivalent int masks, so either side of a worker
-    boundary may pack with ints and unpack with arrays or vice versa.
-    """
-    with current_tracer().span("matrix_to_bytes", n=n):
-        stride = mask_stride(n)
-        byte_rows = mat.astype(_WORD_DTYPE, copy=False).view(
-            np.uint8).reshape(mat.shape[0], mat.shape[1] * _WORD_BYTES)
-        return byte_rows[:, :stride].tobytes()
-
-
-def matrix_from_bytes(blob: bytes, n: int) -> "Matrix":
-    """Inverse of :func:`matrix_to_bytes` — the array round-trip that
-    lets spawned workers rebuild matrices without re-packing ints."""
-    with current_tracer().span("matrix_from_bytes", n=n):
-        stride = mask_stride(n)
-        if len(blob) != stride * n and n > 0:
-            raise ValueError(
-                f"blob of {len(blob)} bytes does not hold {n} masks "
-                f"of stride {stride}")
-        width = words_for(n) * _WORD_BYTES
-        buffer = np.zeros((n, width), dtype=np.uint8)
-        if n > 0:
-            buffer[:, :stride] = np.frombuffer(
-                blob, dtype=np.uint8).reshape(n, stride)
-        return buffer.view(_WORD_DTYPE).reshape(
-            n, words_for(n)).astype(np.uint64, copy=False)
-
-
-def dichromatic_adjacency(
-    pos_mat: "Matrix",
-    neg_mat: "Matrix",
-    origin: Sequence[int],
-    boundary: int,
-    n: int,
-) -> "Matrix":
-    """Conflict-filtered induced adjacency of a dichromatic network.
-
-    ``origin`` lists the network members in local-id order with the
-    first ``boundary`` entries on the L side.  Gathers both signed
-    adjacencies restricted to the members (two dense bool blocks),
-    keeps positive edges between same-side pairs and negative edges
-    between cross pairs, and packs the result into a local-id mask
-    matrix — the whole per-ego translation loop of the bitset builder
-    as a handful of array ops.
-    """
-    members = np.asarray(origin, dtype=np.intp)
-    positive = induced_bool(pos_mat, members, n)
-    negative = induced_bool(neg_mat, members, n)
-    k = members.size
-    same_side = np.zeros((k, k), dtype=bool)
-    same_side[:boundary, :boundary] = True
-    same_side[boundary:, boundary:] = True
-    return matrix_from_bools(
-        (positive & same_side) | (negative & ~same_side))
-
-
-def matrix_edge_count(mat: "Matrix") -> int:
-    """Edges of the graph whose adjacency matrix this is."""
-    return int(popcount_words(mat).sum()) // 2
 
 
 # ----------------------------------------------------------------------
@@ -467,35 +348,3 @@ def coloring_upper_bound_active(mat: "Matrix", active: "Row") -> int:
         masks_from_matrix(mat, n), order.tolist())
 
 
-def degeneracy_ordering(mat: "Matrix", active: "Row") -> list[int]:
-    """Smallest-first (degeneracy) ordering of ``active``.
-
-    Repeated masked argmin over a vectorised degree array that is
-    decremented as vertices leave.  Ties break towards the lowest
-    vertex id; as with the other engines, any valid degeneracy order
-    is acceptable to the callers.
-    """
-    n = mat.shape[0]
-    alive = row_bool(active, n)
-    total = int(alive.sum())
-    if total == 0:
-        return []
-    alive_row = active.copy()
-    degree = degrees_in_active(mat, alive_row)
-    order: list[int] = []
-    for _ in range(total):
-        v = argmin_active(degree, alive)
-        order.append(v)
-        alive[v] = False
-        clear_bit(alive_row, v)
-        subtract_members(degree, mat[v] & alive_row, n)
-    return order
-
-
-def active_edge_count(mat: "Matrix", active: "Row") -> int:
-    """Number of edges of the subgraph induced by ``active``."""
-    n = mat.shape[0]
-    members = row_indices(active, n)
-    if members.size == 0:
-        return 0
-    return int(popcount_words(mat[members] & active).sum()) // 2

@@ -236,9 +236,9 @@ def mbc_ego_fanout(
     chunk results (the dispatcher's heartbeat), the node cap from the
     chunks' stats deltas; on exhaustion the already-aggregated best
     witness is returned (anytime contract).  ``engine`` selects the
-    worker-side kernel backend (``"bitset"`` or ``"numpy"``); task
-    planning always runs on the parent's int masks, and the shipped
-    context rebuilds the matching representation worker-side.  The
+    workers' branch-and-bound search (``"bitset"`` or ``"numpy"``);
+    planning and the shipped context are the same int masks for
+    both.  The
     caller has already decided that a pool pays (``mbc_star`` asks
     :func:`pool_pays`), so ``workers > 1`` starts one.
     """
@@ -306,7 +306,7 @@ def pf_round_fanout(
     ``tau_star``/``witness`` are only advanced together after a full
     round, so the truncated return is always a certified pair.
     The graph arrives as its adjacency masks over ``n`` vertices and
-    ``engine`` selects the worker-side kernel backend, as in
+    ``engine`` selects the workers' search, as in
     :func:`mbc_ego_fanout`, and ``workers > 1`` starts a pool as
     there.
     """

@@ -25,23 +25,23 @@ improvement tightens every later task in every process;
 :func:`run_dcc_chunk` is the PF* analogue: one
 DCC feasibility question per vertex at the round's (or the live
 shared) ``tau*`` bar.
+
+Both mask engines hold the same masks: numpy = vectorised MDC/DCC
+search, everything else shared, so a numpy worker runs the same ego
+step as a bitset one and only its branch and bound differs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..core.stats import SearchStats
 from ..dichromatic.ego import DCC_STEPS, MDC_STEPS, witness_members
-from ..kernels import npmask
 from ..kernels.bitset import masks_from_bytes, masks_to_bytes
 from ..obs import TraceBuffer, get_tracer, install_tracer
 from ..resilience.faults import fire_faults
 from .incumbent import SharedIncumbent
 from .tasks import suffix_masks
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..kernels.npmask import Matrix
 
 __all__ = [
     "WorkerContext",
@@ -56,13 +56,12 @@ __all__ = [
     "DccChunkResult",
 ]
 
-#: :meth:`WorkerContext.pack` wire format — two mask byte blobs, the
-#: vertex count, tau, the processing order, the four flags, and the
-#: engine name.  The blob layout is engine-independent
-#: (``mask_stride(n)`` bytes per vertex, little-endian), so a numpy
-#: worker rebuilds its matrices straight from the blob
-#: (:func:`repro.kernels.npmask.matrix_from_bytes`) without re-packing
-#: Python ints.
+#: :meth:`WorkerContext.pack` wire format — two mask byte blobs
+#: (:func:`~repro.kernels.bitset.masks_to_bytes`), the vertex count,
+#: tau, the processing order, the four flags, and the engine name.
+#: Every engine ships the same blobs (numpy = vectorised MDC/DCC
+#: search, everything else shared): the engine name only picks the
+#: branch-and-bound search the worker's ego steps run.
 PackedContext = tuple[
     bytes, bytes, int, int, "list[int]", bool, bool, bool, bool, str]
 
@@ -90,8 +89,8 @@ class WorkerContext:
 
     def __init__(
         self,
-        pos_bits: "list[int] | None",
-        neg_bits: "list[int] | None",
+        pos_bits: list[int],
+        neg_bits: list[int],
         n: int,
         tau: int,
         order: list[int],
@@ -101,8 +100,6 @@ class WorkerContext:
         want_stats: bool = False,
         want_trace: bool = False,
         engine: str = "bitset",
-        pos_mat: "Matrix | None" = None,
-        neg_mat: "Matrix | None" = None,
     ) -> None:
         self.pos_bits = pos_bits
         self.neg_bits = neg_bits
@@ -115,8 +112,6 @@ class WorkerContext:
         self.want_stats = want_stats
         self.want_trace = want_trace
         self.engine = engine
-        self._pos_mat = pos_mat
-        self._neg_mat = neg_mat
         self._allowed: dict[int, int] | None = None
 
     def allowed(self, u: int) -> int:
@@ -127,30 +122,9 @@ class WorkerContext:
         return self._allowed[u]
 
     def adjacency(self) -> object:
-        """The graph in this context's engine form, as the ego steps of
-        :mod:`repro.dichromatic.ego` take it."""
-        if self.engine == "numpy":
-            return self.pos_matrix(), self.neg_matrix()
+        """The graph as the ego steps of :mod:`repro.dichromatic.ego`
+        take it: the mask pair, for every engine a pool runs."""
         return self.pos_bits, self.neg_bits
-
-    def pos_matrix(self) -> "Matrix":
-        """Positive adjacency as a mask matrix (built once per worker
-        from the int masks under ``fork``; shipped pre-built or rebuilt
-        from the blob under ``spawn``)."""
-        if self._pos_mat is None:
-            assert self.pos_bits is not None
-            self._pos_mat = npmask.matrix_from_masks(
-                self.pos_bits, self.n)
-        return self._pos_mat
-
-    def neg_matrix(self) -> "Matrix":
-        """Negative adjacency as a mask matrix (see
-        :meth:`pos_matrix`)."""
-        if self._neg_mat is None:
-            assert self.neg_bits is not None
-            self._neg_mat = npmask.matrix_from_masks(
-                self.neg_bits, self.n)
-        return self._neg_mat
 
     def pack(self) -> PackedContext:
         """Compact picklable form for ``spawn`` pools.
@@ -158,18 +132,11 @@ class WorkerContext:
         The adjacency dominates the payload; as byte blobs it pickles
         as two opaque buffers instead of ``2n`` big-int reductions.
         The incumbent's ``multiprocessing.Value`` travels separately —
-        it carries its own shared-memory reduction.  Both engines emit
-        the identical blob layout; the trailing engine name tells the
-        spawned worker which representation to rebuild.
+        it carries its own shared-memory reduction.
         """
-        if self.pos_bits is not None and self.neg_bits is not None:
-            pos_blob = masks_to_bytes(self.pos_bits, self.n)
-            neg_blob = masks_to_bytes(self.neg_bits, self.n)
-        else:
-            pos_blob = npmask.matrix_to_bytes(self.pos_matrix(), self.n)
-            neg_blob = npmask.matrix_to_bytes(self.neg_matrix(), self.n)
         return (
-            pos_blob, neg_blob,
+            masks_to_bytes(self.pos_bits, self.n),
+            masks_to_bytes(self.neg_bits, self.n),
             self.n, self.tau, self.order,
             self.use_core, self.use_coloring, self.want_stats,
             self.want_trace, self.engine,
@@ -180,16 +147,6 @@ class WorkerContext:
                incumbent: SharedIncumbent) -> "WorkerContext":
         pos_blob, neg_blob, n, tau, order, use_core, use_coloring, \
             want_stats, want_trace, engine = packed
-        if engine == "numpy":
-            # Array round-trip: the blobs become matrices directly —
-            # no intermediate Python-int masks are ever built.
-            return cls(
-                None, None, n, tau, order, incumbent,
-                use_core=use_core, use_coloring=use_coloring,
-                want_stats=want_stats, want_trace=want_trace,
-                engine=engine,
-                pos_mat=npmask.matrix_from_bytes(pos_blob, n),
-                neg_mat=npmask.matrix_from_bytes(neg_blob, n))
         return cls(
             masks_from_bytes(pos_blob, n), masks_from_bytes(neg_blob, n),
             n, tau, order, incumbent,

@@ -31,13 +31,9 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..kernels import npmask
 from ..kernels.bitset import adjacency_masks, full_mask
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..kernels.npmask import Matrix
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -85,8 +81,6 @@ class SignedGraph:
         self._neg_edges = 0
         self._pos_bits: list[int] | None = None
         self._neg_bits: list[int] | None = None
-        self._pos_mat: "Matrix | None" = None
-        self._neg_mat: "Matrix | None" = None
         self._neighbor_array: "tuple[array[int], array[int]] | None" = \
             None
         self._fingerprint: str | None = None
@@ -226,25 +220,6 @@ class SignedGraph:
             self._neg_bits = adjacency_masks(self._neg)
         return self._neg_bits
 
-    def pos_adjacency_matrix(self) -> "Matrix":
-        """Positive adjacency as a uint64 mask matrix, lazily cached.
-
-        Kernel-layer representation for ``engine="numpy"``
-        (:mod:`repro.kernels.npmask`); same invalidation contract as
-        :meth:`pos_adjacency_bits`.
-        """
-        if self._pos_mat is None:
-            self._pos_mat = npmask.matrix_from_masks(
-                self.pos_adjacency_bits(), self.num_vertices)
-        return self._pos_mat
-
-    def neg_adjacency_matrix(self) -> "Matrix":
-        """Negative adjacency as a uint64 mask matrix, lazily cached."""
-        if self._neg_mat is None:
-            self._neg_mat = npmask.matrix_from_masks(
-                self.neg_adjacency_bits(), self.num_vertices)
-        return self._neg_mat
-
     def neighbor_array(self) -> "tuple[array[int], array[int]]":
         """Signs-ignored adjacency as flat arrays, lazily cached.
 
@@ -270,8 +245,6 @@ class SignedGraph:
     def _invalidate_bits(self) -> None:
         self._pos_bits = None
         self._neg_bits = None
-        self._pos_mat = None
-        self._neg_mat = None
         self._neighbor_array = None
         self._fingerprint = None
 

@@ -30,20 +30,23 @@ from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_binary_search, pf_star
 from repro.core.reductions import edge_reduction, edge_reduction_fast
 from repro.core.result import BalancedClique
+from repro.datasets import load
 from repro.dichromatic.build import build_dichromatic_network, \
-    build_dichromatic_network_bits, build_dichromatic_network_matrix
+    build_dichromatic_network_bits
 from repro.dichromatic.cores import bicore_active, \
     coloring_upper_bound_active, k_core_active
 from repro.dichromatic.dcc import dichromatic_clique_witness
 from repro.dichromatic.graph import DichromaticGraph
 from repro.dichromatic.mdc import solve_mdc
+from repro.dynamic import DynamicSolver
+from repro.dynamic.script import apply_edit, random_edits
 from repro.kernels import ENGINE_REGISTRY, ENGINES, EngineSpec, \
     available_engines, engine_spec, npmask, register_engine, \
     validate_engine
 from repro.kernels.active import bicore_active_mask, \
     coloring_upper_bound_active_mask, degeneracy_ordering_mask, \
     degree_in_active, intersect_active, k_core_active_mask
-from repro.kernels.bitset import bits_of, mask_of, masks_to_bytes
+from repro.kernels.bitset import bits_of, mask_of
 from repro.parallel import engine as engine_module
 from repro.signed.graph import SignedGraph
 from repro.unsigned.graph import UnsignedGraph
@@ -458,45 +461,6 @@ class TestNumpyKernelPrimitives:
             graph.adjacency_matrix(), graph.all_row())
         assert bound >= _max_clique_size(graph)
 
-    @pytest.mark.parametrize("seed", range(15))
-    def test_degeneracy_ordering_is_valid(self, seed):
-        graph = random_dichromatic_graph(seed)
-        adj = graph.adjacency_bits()
-        order = npmask.degeneracy_ordering(
-            graph.adjacency_matrix(), graph.all_row())
-        assert sorted(order) == list(graph.vertices())
-        remaining = graph.all_bits()
-        degeneracy = 0
-        for v in order:
-            remaining &= ~(1 << v)
-            degeneracy = max(
-                degeneracy, (adj[v] & remaining).bit_count())
-        mask_order = degeneracy_ordering_mask(adj, graph.all_bits())
-        remaining = graph.all_bits()
-        reference = 0
-        for v in mask_order:
-            remaining &= ~(1 << v)
-            reference = max(
-                reference, (adj[v] & remaining).bit_count())
-        assert degeneracy == reference
-
-    @pytest.mark.parametrize("seed", range(15))
-    def test_matrix_blob_round_trip(self, seed):
-        # Wire-format compatibility: a numpy matrix serialises to the
-        # exact bytes masks_to_bytes produces, and rebuilds from them.
-        graph = random_dichromatic_graph(seed)
-        n = graph.num_vertices
-        adj = graph.adjacency_bits()
-        mat = graph.adjacency_matrix()
-        blob = npmask.matrix_to_bytes(mat, n)
-        assert blob == masks_to_bytes(adj, n)
-        rebuilt = npmask.matrix_from_bytes(blob, n)
-        assert npmask.masks_from_matrix(rebuilt, n) == adj
-
-    def test_matrix_from_bytes_validates_length(self):
-        with pytest.raises(ValueError):
-            npmask.matrix_from_bytes(b"\x00", 9)
-
     def test_swar_popcount_fallback(self, monkeypatch):
         # Force the pre-numpy-2.0 path: popcounts must still be exact.
         monkeypatch.setattr(npmask, "_BITWISE_COUNT", None)
@@ -505,18 +469,6 @@ class TestNumpyKernelPrimitives:
             mask = rng.getrandbits(n) if n else 0
             row = npmask.row_from_mask(mask, n)
             assert npmask.row_count(row) == mask.bit_count()
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_network_builder_matches_bitset(self, seed):
-        graph = random_signed_graph(seed)
-        rng = random.Random(seed + 500)
-        u = rng.randrange(graph.num_vertices)
-        by_bits = build_dichromatic_network_bits(graph, u)
-        by_np = build_dichromatic_network_matrix(graph, u)
-        assert by_bits.origin == by_np.origin
-        assert by_bits.is_left == by_np.is_left
-        assert sorted(by_bits.edges()) == sorted(by_np.edges())
-
 
 @requires_numpy
 class TestNumpyWitnessParity:
@@ -552,6 +504,34 @@ class TestNumpyWitnessParity:
         by_np = mbc_star(graph, tau, engine="numpy")
         assert by_bits.left == by_np.left
         assert by_bits.right == by_np.right
+
+
+@requires_numpy
+def test_numpy_builds_only_network_matrices(monkeypatch):
+    # numpy differs from bitset only inside the MDC/DCC search, so the
+    # only mask matrices it builds are the ego networks' own: never one
+    # over the whole graph, in the static solvers or the dynamic one.
+    sizes = []
+    build = npmask.matrix_from_masks
+
+    def recording(masks, n):
+        sizes.append(n)
+        return build(masks, n)
+
+    monkeypatch.setattr(npmask, "matrix_from_masks", recording)
+    graph = load("bitcoin")
+    n = graph.num_vertices
+    mbc_star(graph, 3, engine="numpy")
+    pf_star(graph, return_witness=True, engine="numpy")
+    assert sizes and n not in sizes
+    sizes.clear()
+    edited = graph.copy()
+    solver = DynamicSolver(edited, 3, engine="numpy")
+    for edit in random_edits(edited, 10, seed=0):
+        apply_edit(solver, edit)
+        solver.solve()
+        solver.beta()
+    assert n not in sizes
 
 
 def _max_clique_size(graph: DichromaticGraph) -> int:
