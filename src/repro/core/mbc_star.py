@@ -26,7 +26,7 @@ lets gMBC* seed the search with ``(2 tau - 1)``-cores.
 from __future__ import annotations
 
 from ..dichromatic.ego import MDC_STEPS, ego_adjacency, witness_members
-from ..kernels import engine_spec, validate_engine
+from ..kernels import validate_engine
 from ..kernels.active import degeneracy_ordering_array, k_core_array
 from ..kernels.bitset import bits_of, mask_of
 from ..obs import Tracer, current_tracer
@@ -136,12 +136,8 @@ def mbc_star(
         raise ValueError(f"tau must be non-negative, got {tau}")
     if ordering not in ("degeneracy", "degree", "id"):
         raise ValueError(f"unknown ordering {ordering!r}")
-    validate_engine(engine)
     workers = resolve_workers(parallel)
-    if workers > 1 and not engine_spec(engine).supports_parallel:
-        raise ValueError(
-            f"parallel execution requires an engine with parallel "
-            f"support; engine {engine!r} is serial-only")
+    validate_engine(engine, workers)
     best = initial if initial is not None else EMPTY_RESULT
     if not best.is_empty and not best.satisfies(tau):
         raise ValueError("initial clique violates the tau constraint")

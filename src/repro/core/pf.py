@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from ..dichromatic.ego import DCC_STEPS, ego_adjacency, witness_members
-from ..kernels import engine_spec, validate_engine
+from ..kernels import validate_engine
 from ..kernels.active import degeneracy_ordering_array
 from ..kernels.bitset import bits_of, mask_of
 from ..obs import Tracer, current_tracer
@@ -236,12 +236,8 @@ def pf_star(
     """
     if ordering not in ("polarization", "degeneracy"):
         raise ValueError(f"unknown ordering {ordering!r}")
-    validate_engine(engine)
     workers = resolve_workers(parallel)
-    if workers > 1 and not engine_spec(engine).supports_parallel:
-        raise ValueError(
-            f"parallel execution requires an engine with parallel "
-            f"support; engine {engine!r} is serial-only")
+    validate_engine(engine, workers)
 
     tracer = trace if trace is not None else current_tracer()
     root = tracer.span(

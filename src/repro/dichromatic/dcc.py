@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..kernels import npmask, validate_engine
+from ..kernels import validate_engine
 from ..kernels.active import bicore_active_mask
 from ..kernels.bitset import mask_of
 from ..obs import Span, Tracer, current_tracer
@@ -118,6 +118,8 @@ def _witness(
         else:
             active_mask = mask_of(active)
     if engine == "numpy":
+        from ..kernels import npmask  # numpy loads only for this engine
+
         if _check_np(
                 graph.adjacency_matrix(), graph.left_row(),
                 graph.num_vertices,
@@ -222,6 +224,8 @@ def _check_np(
     budget: "Budget | None" = None,
 ) -> bool:
     """Numpy-engine mirror of :func:`_check_bits` (identical search)."""
+    from ..kernels import npmask
+
     if stats is not None:
         stats.nodes += 1
     if span is not None:

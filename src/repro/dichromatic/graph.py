@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..kernels import npmask
 from ..kernels.bitset import adjacency_masks, full_mask, iter_bits, \
     left_side_mask
 
@@ -164,7 +163,8 @@ class DichromaticGraph:
         return full_mask(self.num_vertices)
 
     # ------------------------------------------------------------------
-    # Matrix adjacency (the numpy engine's MDC/DCC search)
+    # Matrix adjacency (the numpy engine's MDC/DCC search; each method
+    # imports npmask itself, so numpy loads only for this engine)
     # ------------------------------------------------------------------
     def adjacency_matrix(self) -> "Matrix":
         """Adjacency as a uint64 mask matrix, built lazily and cached.
@@ -172,6 +172,8 @@ class DichromaticGraph:
         Invalidated by :meth:`add_edge`, like :meth:`adjacency_bits`;
         callers must not mutate the returned array between edits.
         """
+        from ..kernels import npmask
+
         if self._adj_np is None:
             self._adj_np = npmask.matrix_from_masks(
                 self.adjacency_bits(), self.num_vertices)
@@ -179,6 +181,8 @@ class DichromaticGraph:
 
     def left_row(self) -> "Row":
         """``V_L`` as a uint64 mask row, cached."""
+        from ..kernels import npmask
+
         if self._left_row is None:
             self._left_row = npmask.bool_to_row(
                 self.is_left, self.num_vertices)
@@ -186,6 +190,8 @@ class DichromaticGraph:
 
     def all_row(self) -> "Row":
         """The full vertex set ``0..n-1`` as a fresh uint64 mask row."""
+        from ..kernels import npmask
+
         return npmask.full_row(self.num_vertices)
 
     def edges(self) -> Iterable[tuple[int, int]]:

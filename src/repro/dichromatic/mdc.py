@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..kernels import npmask, validate_engine
+from ..kernels import validate_engine
 from ..kernels.active import (
     coloring_upper_bound_active_mask,
     k_core_active_mask,
@@ -189,6 +189,8 @@ def _solve(
         else:
             active_mask = mask_of(active)
     if engine == "numpy":
+        from ..kernels import npmask  # numpy loads only for this engine
+
         state_n = _ArrayState(graph, must_exceed, stats)
         state_n.use_coloring = use_coloring
         state_n.use_core = use_core
@@ -365,6 +367,8 @@ class _ArrayState:
         tau_r: int,
         check_only: bool,
     ) -> None:
+        from ..kernels import npmask
+
         mat = self.mat
         n = self.num_vertices
         if self.stats is not None:

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from ..core.result import EMPTY_RESULT, BalancedClique, SolveResult
 from ..dichromatic.ego import DCC_STEPS, MDC_STEPS, witness_members
-from ..kernels import engine_spec, validate_engine
+from ..kernels import validate_engine
 from ..kernels.active import degeneracy_ordering_mask
 from ..obs import current_tracer
 from ..parallel.engine import resolve_workers
@@ -124,12 +124,8 @@ class DynamicSolver:
         if tau < 1:
             raise ValueError(
                 f"DynamicSolver requires tau >= 1, got {tau}")
-        validate_engine(engine)
         workers = resolve_workers(parallel)
-        if workers > 1 and not engine_spec(engine).supports_parallel:
-            raise ValueError(
-                f"parallel execution requires an engine with parallel "
-                f"support; engine {engine!r} is serial-only")
+        validate_engine(engine, workers)
         self._graph = graph
         self._tau = tau
         self._engine = engine

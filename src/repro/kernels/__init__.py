@@ -25,7 +25,6 @@ argument only: the CLI and the serve daemon always run
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import npmask
 from .active import (
     active_edge_count_mask,
     bicore_active_mask,
@@ -50,6 +49,12 @@ from .bitset import (
 
 def _always() -> bool:
     return True
+
+
+def _numpy_importable() -> bool:
+    # Imported on first probe, so ``import repro`` never loads numpy.
+    from . import npmask
+    return npmask.HAVE_NUMPY
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ register_engine(EngineSpec(
     representation="int masks; (n, ceil(n/64)) uint64 matrix + rows "
                    "inside the search",
     supports_parallel=True,
-    probe=lambda: npmask.HAVE_NUMPY,
+    probe=_numpy_importable,
     requirement="numpy (pip install repro[numpy])",
 ))
 
@@ -128,18 +133,24 @@ def available_engines() -> tuple[str, ...]:
         if spec.available())
 
 
-def validate_engine(engine: str) -> str:
+def validate_engine(engine: str, workers: int = 0) -> str:
     """Check an ``engine`` switch value, returning it unchanged.
 
-    Raises ``ValueError`` for names missing from the registry, and for
+    Raises ``ValueError`` for names missing from the registry, for
     registered backends whose runtime requirement is absent (with the
-    requirement spelled out — e.g. ``engine="numpy"`` without numpy).
+    requirement spelled out — e.g. ``engine="numpy"`` without numpy),
+    and for a serial-only backend when ``workers > 1`` asks for a
+    process-pool fan-out.
     """
     spec = engine_spec(engine)
     if not spec.available():
         raise ValueError(
             f"engine {engine!r} is not available in this environment; "
             f"it requires {spec.requirement or 'an optional dependency'}")
+    if workers > 1 and not spec.supports_parallel:
+        raise ValueError(
+            f"parallel execution requires an engine with parallel "
+            f"support; engine {engine!r} is serial-only")
     return engine
 
 
@@ -168,5 +179,4 @@ __all__ = [
     "lowest_set_bit",
     "mask_of",
     "popcount",
-    "npmask",
 ]

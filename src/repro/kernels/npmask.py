@@ -23,7 +23,9 @@ int mask, so the int/row converters are plain byte copies.
 numpy itself is an *optional* extra (``pip install repro[numpy]``).
 The module always imports — :data:`HAVE_NUMPY` records whether the
 backend is usable, and :func:`repro.kernels.validate_engine` refuses
-``engine="numpy"`` with a clear error when it is not.
+``engine="numpy"`` with a clear error when it is not.  Nothing imports
+this module until a numpy-engine search runs or the engine's
+availability is probed, so ``import repro`` never loads numpy.
 
 Vectorisation discipline is enforced by lint rule R010: no
 Python-level ``for`` loop may iterate the rows of a ``Matrix``/``Row``
