@@ -34,13 +34,7 @@ from .engine import (
 )
 from .findings import Finding
 from .pragmas import parse_pragmas
-from .program import (
-    CALLGRAPH_SCHEMA_VERSION,
-    Program,
-    build_program,
-    render_callgraph_json,
-    render_dot,
-)
+from .program import Program, build_program
 from .reporters import JSON_SCHEMA_VERSION, render_json, render_text
 from .rules import ALL_RULES, RULES_BY_ID
 from .cli import main
@@ -53,7 +47,6 @@ __all__ = [
     "Rule",
     "ALL_RULES",
     "RULES_BY_ID",
-    "CALLGRAPH_SCHEMA_VERSION",
     "JSON_SCHEMA_VERSION",
     "build_program",
     "iter_python_files",
@@ -62,8 +55,6 @@ __all__ = [
     "lint_sources",
     "lint_tree",
     "parse_pragmas",
-    "render_callgraph_json",
-    "render_dot",
     "render_json",
     "render_text",
     "main",

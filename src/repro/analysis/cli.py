@@ -13,11 +13,11 @@ import argparse
 import sys
 from typing import Sequence, TextIO
 
-from .engine import Rule, iter_python_files, lint_tree, load_module
+from .engine import Rule, lint_tree
 from .reporters import render_json, render_text
 from .rules import ALL_RULES, RULES_BY_ID
 
-__all__ = ["build_parser", "main", "run_callgraph", "run_lint"]
+__all__ = ["build_parser", "main", "run_lint"]
 
 #: Default lint target when no path is given: the package itself.
 DEFAULT_PATHS = ("src",)
@@ -73,36 +73,6 @@ def run_lint(
     print(render(run.findings, files_checked=len(run.files)),
           file=out)
     return 1 if run.findings else 0
-
-
-def run_callgraph(
-    paths: Sequence[str],
-    fmt: str = "json",
-    stream: TextIO | None = None,
-) -> int:
-    """Export the resolved call graph of ``paths`` as JSON or DOT."""
-    from .findings import Finding
-    from .program import (
-        build_program, render_callgraph_json, render_dot)
-    out = stream if stream is not None else sys.stdout
-    if fmt not in ("json", "dot"):
-        raise KeyError(f"unknown callgraph format {fmt!r}; "
-                       f"known: dot, json")
-    modules = []
-    for path in iter_python_files(paths):
-        loaded = load_module(path)
-        if isinstance(loaded, Finding):
-            print(f"skipping unparsable {loaded.path}: "
-                  f"{loaded.message}", file=sys.stderr)
-            continue
-        modules.append(loaded)
-    program = build_program(modules)
-    if fmt == "json":
-        text = render_callgraph_json(program, root_paths=list(paths))
-    else:
-        text = render_dot(program)
-    print(text, file=out)
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -30,21 +30,18 @@ Three resolution layers feed it:
 
 Nothing here imports the solver stack (R006): the loader works on
 :class:`~repro.analysis.engine.ModuleInfo` objects only, so a broken
-tree can still be graphed.  Export helpers at the bottom back the
-``repro callgraph`` subcommand (DOT and versioned JSON).
+tree can still be graphed.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .engine import ModuleInfo
 
 __all__ = [
-    "CALLGRAPH_SCHEMA_VERSION",
     "CallEdge",
     "ClassNode",
     "FunctionNode",
@@ -53,14 +50,9 @@ __all__ = [
     "build_program",
     "call_passes_kwarg",
     "iter_scopes",
-    "render_dot",
-    "render_callgraph_json",
     "scan_bindings",
     "scope_walk",
 ]
-
-#: Bumped whenever the JSON export shape changes (CI asserts on it).
-CALLGRAPH_SCHEMA_VERSION = 1
 
 #: Edge kinds: ``call`` is a resolved direct call, ``dispatch`` is a
 #: seam (conditional solver selection, method-on-instance, or a
@@ -174,12 +166,6 @@ class Program:
 
     def function(self, key: str) -> FunctionNode | None:
         return self.functions.get(key)
-
-    def edges_into(self, key: str) -> list[CallEdge]:
-        return [e for e in self.edges if e.callee == key]
-
-    def edges_from(self, key: str) -> list[CallEdge]:
-        return [e for e in self.edges if e.caller == key]
 
     def reachable_from(self, roots: Iterable[str]) -> frozenset[str]:
         """Transitive closure of callees from ``roots`` (inclusive)."""
@@ -712,77 +698,3 @@ def call_passes_kwarg(call: ast.Call, callee: FunctionNode,
     if any(isinstance(arg, ast.Starred) for arg in call.args):
         return True
     return len(call.args) > index
-
-
-# ---------------------------------------------------------------------------
-# exporters
-# ---------------------------------------------------------------------------
-
-
-def render_callgraph_json(program: Program,
-                          root_paths: Sequence[str] = ()) -> str:
-    """Versioned JSON export (the ``repro callgraph`` contract)."""
-    nodes = [
-        {
-            "id": fn.key,
-            "module": fn.module,
-            "qualname": fn.qualname,
-            "path": fn.path,
-            "line": fn.lineno,
-            "params": list(fn.params) + list(fn.kwonly),
-        }
-        for fn in sorted(program.functions.values(),
-                         key=lambda f: f.key)
-    ]
-    edges = [
-        {
-            "caller": e.caller,
-            "callee": e.callee,
-            "path": e.path,
-            "line": e.lineno,
-            "kind": e.kind,
-        }
-        for e in sorted(program.edges,
-                        key=lambda e: (e.path, e.lineno, e.callee))
-    ]
-    payload = {
-        "schema_version": CALLGRAPH_SCHEMA_VERSION,
-        "root_paths": list(root_paths),
-        "counts": {
-            "modules": len(program.modules),
-            "functions": len(nodes),
-            "edges": len(edges),
-        },
-        "nodes": nodes,
-        "edges": edges,
-    }
-    return json.dumps(payload, indent=2, sort_keys=False)
-
-
-def render_dot(program: Program) -> str:
-    """Graphviz export; one cluster per module, edges styled by kind."""
-    styles = {"call": "solid", "dispatch": "dashed", "table": "dotted"}
-    lines = ["digraph callgraph {", "  rankdir=LR;",
-             '  node [shape=box, fontsize=10];']
-    by_module: dict[str, list[FunctionNode]] = {}
-    for fn in program.functions.values():
-        by_module.setdefault(fn.module, []).append(fn)
-    for index, module in enumerate(sorted(by_module)):
-        lines.append(f'  subgraph "cluster_{index}" {{')
-        lines.append(f'    label="{module}";')
-        for fn in sorted(by_module[module], key=lambda f: f.key):
-            lines.append(
-                f'    "{fn.key}" [label="{fn.qualname}"];')
-        lines.append("  }")
-    seen: set[tuple[str, str, str]] = set()
-    for edge in sorted(program.edges,
-                       key=lambda e: (e.caller, e.callee, e.kind)):
-        dedup = (edge.caller, edge.callee, edge.kind)
-        if dedup in seen or edge.callee not in program.functions:
-            continue
-        seen.add(dedup)
-        style = styles.get(edge.kind, "solid")
-        lines.append(
-            f'  "{edge.caller}" -> "{edge.callee}" [style={style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -3,13 +3,13 @@
 The dynamic solver's whole correctness story rests on one invariant:
 every mutation of the wrapped graph flows through
 ``DynamicSolver.add_edge`` / ``remove_edge`` / ``flip_sign``, which
-update the solver-owned adjacency bits, the incremental fingerprint
-and the dirty-ego sets in the same breath.  A bare
-``graph.remove_edge(...)`` anywhere else in the package would leave
-the caches silently desynchronised — the solver would keep returning
+make the one graph call (the graph validates the edit and keeps its
+signed masks and incremental fingerprint current) and mark the
+dirty-ego sets in the same breath.  A bare ``graph.remove_edge(...)``
+anywhere else in the package would skip the dirty marking; unless the
+fingerprint check catches it, the solver would keep returning
 *certified-looking* answers for a graph that no longer exists (the
-fingerprint resync only protects against mutations from *outside* the
-package, at the next solve).
+resync is meant for mutations from *outside* the package).
 
 So, inside ``repro.dynamic``: any call of a graph mutator method — on
 **any** receiver expression, since the graph hides behind attributes
@@ -68,9 +68,9 @@ class DynamicMutationRule(Rule):
     rule_id = "R011"
     title = "repro.dynamic mutates graphs only inside the guard methods"
     rationale = (
-        "an unguarded graph.add_edge() desynchronises the solver's "
-        "bit caches, fingerprint and dirty sets — every later solve "
-        "then returns certified-looking answers for a stale graph")
+        "an unguarded graph.add_edge() skips the solver's dirty "
+        "marking — a later solve can return certified-looking "
+        "answers for a stale graph")
 
     def applies_to(self, module: ModuleInfo) -> bool:
         return module.package == TARGET_PACKAGE

@@ -16,9 +16,7 @@ Installed as ``repro`` (also ``python -m repro``).  Subcommands:
   JSON requests in, cached/coalesced solves out
   (see ``docs/SERVING.md``);
 * ``repro lint [PATHS]`` — the repo-specific invariant linter
-  (see ``docs/STATIC_ANALYSIS.md``);
-* ``repro callgraph [PATHS]`` — the whole-program call graph the
-  linter's program rules run on, exported as JSON or DOT.
+  (see ``docs/STATIC_ANALYSIS.md``).
 
 ``GRAPH`` is either a path to an edge-list file (``u v sign`` lines) or
 ``dataset:NAME`` to use a built-in stand-in (e.g. ``dataset:douban``).
@@ -171,16 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit")
-
-    callgraph = sub.add_parser(
-        "callgraph",
-        help="export the resolved whole-program call graph")
-    callgraph.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to analyse (default: src)")
-    callgraph.add_argument(
-        "--format", choices=["json", "dot"], default="json",
-        dest="fmt", help="export format (default: json)")
 
     serve = sub.add_parser(
         "serve",
@@ -455,17 +443,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 2
 
 
-def _cmd_callgraph(args: argparse.Namespace) -> int:
-    from .analysis.cli import run_callgraph
-
-    try:
-        return run_callgraph(args.paths, fmt=args.fmt)
-    except (OSError, KeyError) as exc:
-        # Same exit-code contract as lint: usage errors exit 2.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -512,7 +489,6 @@ _COMMANDS = {
     "enum": _cmd_enum,
     "balance": _cmd_balance,
     "lint": _cmd_lint,
-    "callgraph": _cmd_callgraph,
     "serve": _cmd_serve,
 }
 

@@ -25,8 +25,8 @@ decomposition *persistent*:
   candidate cliques can contain both endpoints: a clique through
   ``u`` and ``v`` anchored at ``w`` needs ``u, v ∈ N[w]``, i.e.
   ``w ∈ (N(u) ∩ N(v)) ∪ {u, v}``.  That dirty set is three mask ``&``
-  / ``|`` ops on the solver's incrementally-maintained adjacency bits
-  — never a graph scan;
+  / ``|`` ops on the graph's signed masks, which the graph's own edge
+  mutators keep current in place — never a graph scan;
 * :meth:`DynamicSolver.solve` refreshes the dirty entries (cheap
   candidate-count bounds + witness revalidation), then re-solves only
   the entries whose cached upper bound can still beat the surviving
@@ -48,24 +48,25 @@ of PF*'s DCC sweep; see ``docs/DYNAMIC.md``).
 
 Mutations **must** go through :meth:`add_edge` / :meth:`remove_edge` /
 :meth:`flip_sign` (lint rule R011 enforces this inside the package):
-they keep the solver's adjacency bits, the graph's incremental
-fingerprint and the dirty sets in lockstep.  Out-of-band edits to the
-wrapped graph are detected by fingerprint mismatch at the next
-``solve()``/``beta()`` and answered with a full (correct, cache-cold)
-rebuild.
+each makes one :class:`SignedGraph` call, which validates the edit and
+patches the graph's masks, and then marks the dirty egos.  Out-of-band
+edits to the wrapped graph are detected by fingerprint mismatch at the
+solver's next edit, ``solve()`` or ``beta()`` and answered with a full
+(correct, cache-cold) rebuild.
 """
 
 from __future__ import annotations
 
 from ..core.result import EMPTY_RESULT, BalancedClique, SolveResult
-from ..dichromatic.ego import DCC_STEPS, MDC_STEPS, witness_members
+from ..dichromatic.ego import (
+    DCC_STEPS, MDC_STEPS, ego_adjacency, witness_members)
 from ..kernels import validate_engine
 from ..kernels.active import degeneracy_ordering_mask
 from ..obs import current_tracer
 from ..parallel.engine import resolve_workers
 from ..parallel.tasks import suffix_masks
 from ..resilience.budget import Budget, BudgetExceeded
-from ..signed.graph import POSITIVE, SignedGraph
+from ..signed.graph import SignedGraph
 
 __all__ = ["DynamicSolver", "EgoEntry"]
 
@@ -105,7 +106,8 @@ class DynamicSolver:
     a process pool pays (EXPERIMENTS.md, "Pool crossover").
 
     The solver takes ownership of mutations: edit the graph through
-    :meth:`add_edge` / :meth:`remove_edge` / :meth:`flip_sign` only.
+    :meth:`add_edge` / :meth:`remove_edge` / :meth:`flip_sign` only
+    (an edit made on the graph directly costs a full rebuild).
     ``solve()`` returns a :class:`~repro.core.result.SolveResult`
     (anytime under a :class:`~repro.resilience.Budget`: truncated
     solves return the certified incumbent, never cache an uncertified
@@ -168,13 +170,8 @@ class DynamicSolver:
         graph = self._graph
         n = graph.num_vertices
         self._n = n
-        # Solver-owned adjacency bits, updated in place per edit; the
-        # graph's own lazy caches are invalidated by every mutation
-        # and would cost O(m) to rebuild per solve.
-        self._pos_bits = list(graph.pos_adjacency_bits())
-        self._neg_bits = list(graph.neg_adjacency_bits())
-        adjacency = [p | q for p, q in
-                     zip(self._pos_bits, self._neg_bits)]
+        adjacency = [p | q for p, q in zip(graph.pos_adjacency_bits(),
+                                           graph.neg_adjacency_bits())]
         full_mask = (1 << n) - 1
         self._order = degeneracy_ordering_mask(adjacency, full_mask)
         self._allowed = suffix_masks(self._order)
@@ -189,7 +186,12 @@ class DynamicSolver:
         self._fingerprint = graph.fingerprint()
 
     def _sync_external(self) -> None:
-        """Full rebuild if the graph was mutated behind our back."""
+        """Full rebuild if the graph was mutated behind our back.
+
+        Compares cached digests: :meth:`_record_edit` stores the
+        graph's fingerprint after every solver edit, so the check
+        costs one SHA-256 only after an out-of-band edit.
+        """
         if self._graph.fingerprint() != self._fingerprint:
             current_tracer().counter("dynamic.resyncs").inc()
             self._rebuild()
@@ -200,71 +202,39 @@ class DynamicSolver:
         """Insert edge ``(u, v)``; returns False for a same-sign
         duplicate (a no-op, nothing is invalidated).
 
-        Raises exactly what :meth:`SignedGraph.add_edge` raises —
-        validation happens before any solver state is touched.
+        Raises exactly what :meth:`SignedGraph.add_edge` raises; a
+        rejected edit marks nothing dirty.
         """
-        self._check_pair(u, v)
-        if u != v and self._graph.sign(u, v) == sign:
-            return False
+        self._sync_external()
         with current_tracer().span("edit", kind="add", u=u, v=v):
-            self._graph.add_edge(u, v, sign)
-            bits = self._pos_bits if sign == POSITIVE else \
-                self._neg_bits
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
-            self._record_edit(u, v)
-        return True
+            added = self._graph.add_edge(u, v, sign)
+            if added:
+                self._record_edit(u, v)
+        return added
 
     def remove_edge(self, u: int, v: int) -> int:
         """Delete edge ``(u, v)``; returns the sign it had.
 
-        Raises ``KeyError`` when no edge joins ``u`` and ``v``.
+        Raises what :meth:`SignedGraph.remove_edge` raises:
+        ``KeyError`` when no edge joins ``u`` and ``v``.
         """
-        self._check_pair(u, v)
-        sign = self._graph.sign(u, v)
+        self._sync_external()
         with current_tracer().span("edit", kind="remove", u=u, v=v):
-            self._graph.remove_edge(u, v)  # raises if sign is None
-            bits = self._pos_bits if sign == POSITIVE else \
-                self._neg_bits
-            bits[u] &= ~(1 << v)
-            bits[v] &= ~(1 << u)
+            sign = self._graph.remove_edge(u, v)
             self._record_edit(u, v)
-        assert sign is not None
         return sign
 
     def flip_sign(self, u: int, v: int) -> int:
         """Toggle the sign of edge ``(u, v)``; returns the new sign.
 
-        Raises ``KeyError`` when no edge joins ``u`` and ``v``.
+        Raises what :meth:`SignedGraph.flip_sign` raises: ``KeyError``
+        when no edge joins ``u`` and ``v``.
         """
-        self._check_pair(u, v)
+        self._sync_external()
         with current_tracer().span("edit", kind="flip", u=u, v=v):
-            self._graph.flip_sign(u, v)  # raises if absent
-            new_sign = self._graph.sign(u, v)
-            source, target = (
-                (self._neg_bits, self._pos_bits)
-                if new_sign == POSITIVE
-                else (self._pos_bits, self._neg_bits))
-            source[u] &= ~(1 << v)
-            source[v] &= ~(1 << u)
-            target[u] |= 1 << v
-            target[v] |= 1 << u
+            sign = self._graph.flip_sign(u, v)
             self._record_edit(u, v)
-        assert new_sign is not None
-        return new_sign
-
-    def _check_pair(self, u: int, v: int) -> None:
-        """Reject out-of-range endpoints before anything mutates.
-
-        The graph's own mutators index adjacency lists directly, so a
-        negative id would silently wrap — and the solver's mask
-        updates must never run against ids its bit tables do not
-        cover.
-        """
-        n = self._n
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(
-                f"edge ({u}, {v}) out of range for n={n}")
+        return sign
 
     def _record_edit(self, u: int, v: int) -> None:
         """Mark the ego instances an edit of ``(u, v)`` can affect.
@@ -274,13 +244,15 @@ class DynamicSolver:
         ``v`` — or an endpoint itself.  The common-neighbour mask is
         identical before and after editing the ``(u, v)`` edge itself
         (``u ∉ N(u)``, and ``u ∈ N(v)`` only matters for ``w = u``,
-        covered explicitly), so marking after the bit update is safe.
+        covered explicitly), so marking after the edit is safe.
         """
         self._edits += 1
         self._fingerprint = self._graph.fingerprint()
         self._result = None
-        adjacency_u = self._pos_bits[u] | self._neg_bits[u]
-        adjacency_v = self._pos_bits[v] | self._neg_bits[v]
+        pos = self._graph.pos_adjacency_bits()
+        neg = self._graph.neg_adjacency_bits()
+        adjacency_u = pos[u] | neg[u]
+        adjacency_v = pos[v] | neg[v]
         rest = (adjacency_u & adjacency_v) | (1 << u) | (1 << v)
         marked = 0
         while rest:
@@ -315,12 +287,18 @@ class DynamicSolver:
             return None
         return rebuilt
 
+    def _later_counts(self, u: int) -> tuple[int, int]:
+        """``u``'s positive and negative higher-ranked neighbour
+        counts, read off the graph's masks."""
+        allowed = self._allowed[u]
+        graph = self._graph
+        return ((graph.pos_adjacency_bits()[u] & allowed).bit_count(),
+                (graph.neg_adjacency_bits()[u] & allowed).bit_count())
+
     def _refresh_entry(self, u: int) -> None:
         """Recompute ``u``'s cheap certified bounds (mask ops only)."""
         entry = self._entries[u]
-        allowed = self._allowed[u]
-        pos_count = (self._pos_bits[u] & allowed).bit_count()
-        neg_count = (self._neg_bits[u] & allowed).bit_count()
+        pos_count, neg_count = self._later_counts(u)
         tau = self._tau
         if pos_count < tau - 1 or neg_count < tau:
             entry.upper = 0
@@ -336,9 +314,7 @@ class DynamicSolver:
         """Recompute ``u``'s cheap gamma bounds (mask ops only)."""
         assert self._gamma is not None
         entry = self._gamma[u]
-        allowed = self._allowed[u]
-        pos_count = (self._pos_bits[u] & allowed).bit_count()
-        neg_count = (self._neg_bits[u] & allowed).bit_count()
+        pos_count, neg_count = self._later_counts(u)
         # Anchored polarization: u's side has at most pos_count + 1
         # members, the other side at most neg_count.
         entry.upper = min(pos_count + 1, neg_count)
@@ -405,11 +381,13 @@ class DynamicSolver:
                 if members is None:
                     entry.upper = min(entry.upper, upper)
                     continue
-                entry.witness = BalancedClique.from_anchor(u, members)
                 # The MDC step is exhaustive above its floor, so a
-                # delivered witness pins val(u) exactly.
+                # delivered witness pins val(u) exactly.  The bar rose
+                # with each one, so the last delivered beats every
+                # earlier and every cached witness: it is the incumbent.
+                best = entry.witness = BalancedClique.from_anchor(
+                    u, members)
                 entry.lower = entry.upper = upper
-            best = self._best_witness()
             result = SolveResult.capture(best, budget)
             span.set(size=best.size, resolved=len(queue),
                      completed=completed)
@@ -429,7 +407,7 @@ class DynamicSolver:
         """
         tracer = current_tracer()
         mdc_step = MDC_STEPS[self._engine]
-        adjacency = self._ego_adjacency()
+        adjacency = ego_adjacency(self._graph, self._engine)
         outcomes: "list[_Resolved]" = []
         best_size = floor
         for u in queue:
@@ -501,7 +479,7 @@ class DynamicSolver:
             candidates = [u for u in range(self._n)
                           if gamma[u].upper > bar]
             dcc_step = DCC_STEPS[self._engine]
-            adjacency = self._ego_adjacency() if candidates else None
+            adjacency = ego_adjacency(self._graph, self._engine)
             questions = 0
             truncated = False
             while candidates:
@@ -559,12 +537,3 @@ class DynamicSolver:
                         and witness.polarization == bar:
                     return witness
         return EMPTY_RESULT
-
-    def _ego_adjacency(self) -> object:
-        """The live graph as the ego steps of
-        :mod:`repro.dichromatic.ego` take it: the graph itself for
-        ``"set"``, the solver's maintained mask pair otherwise (numpy
-        differs from bitset only in the MDC/DCC search)."""
-        if self._engine == "set":
-            return self._graph
-        return self._pos_bits, self._neg_bits

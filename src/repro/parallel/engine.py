@@ -7,9 +7,10 @@ serial engines regardless of scheduling:
 
 * every task is defined by ``(u, higher-ranked mask)`` alone, so the
   union of tasks covers every candidate clique whatever the order;
-* the shared incumbent only ever *grows* during a dispatch, and only
-  to sizes of cliques actually found, so a task skipped against it can
-  never have held a strictly larger clique — with one exception: after
+* the shared incumbent only ever holds sizes of cliques actually
+  found (a racing publication can lose a raise, which only loosens
+  pruning), so a task skipped against it can never have held a
+  strictly larger clique — with one exception: after
   a pool failure the register is reset to the floor certified by
   *delivered* results (``on_recover``), because a bound published by a
   chunk whose result was lost is a claim nobody holds a witness for,

@@ -7,14 +7,22 @@ far*.  Serially that incumbent tightens as the sweep progresses; under
 the fan-out engine it must tighten across processes, or each worker
 would search against the stale initial bound.
 
-:class:`SharedIncumbent` wraps a ``multiprocessing.Value`` (a single
-lock-protected 64-bit integer in shared memory) behind a monotone
-max-register interface: ``improve`` only ever raises the stored value,
-so readers can act on a possibly-stale value without any correctness
+:class:`SharedIncumbent` wraps a ``multiprocessing.RawValue`` (a
+single 64-bit integer in shared memory, with no lock) behind a
+max-register interface: ``improve`` only writes a larger value, so
+readers can act on a possibly-stale value without any correctness
 risk — a stale bound is merely *looser*, never wrong.  Workers read the
-register once per task (one lock round-trip, trivially amortized by
-task cost) and publish immediately on improvement, so every worker's
-bounds tighten as soon as any worker finds a better clique.
+register once per task and publish immediately on improvement, so
+every worker's bounds tighten as soon as any worker finds a better
+clique.
+
+The register is lock-free on purpose.  The dispatcher terminates a
+failed pool with ``SIGTERM``; a worker killed while holding a lock
+would leave it held forever, and the parent's next ``reset`` or
+``get`` would hang.  Without the lock, two racing ``improve`` calls can
+lose a raise (both read the old value, the smaller write lands last).
+That only loosens pruning: witnesses travel back in the chunk results,
+never through the register, so no answer depends on it.
 
 When multiprocessing primitives are unavailable (or the engine runs the
 task plan in-process), :class:`SharedIncumbent` degrades to a plain
@@ -50,13 +58,13 @@ class SharedIncumbent:
             self._value = None
             self._local = initial
         else:
-            self._value = ctx.Value("q", initial)
+            self._value = ctx.RawValue("q", initial)
             self._local = initial
 
     @classmethod
     def from_value(cls, value: Any) -> "SharedIncumbent":
-        """Rewrap a ``multiprocessing.Value`` received by a spawned
-        worker through the pool initializer."""
+        """Rewrap a shared ``RawValue`` received by a spawned worker
+        through the pool initializer."""
         incumbent = cls.__new__(cls)
         incumbent._value = value
         incumbent._local = 0
@@ -69,11 +77,11 @@ class SharedIncumbent:
 
     @property
     def handle(self) -> Any:
-        """The raw shared-memory ``Value`` (``None`` when local).
+        """The shared-memory ``RawValue`` (``None`` when local).
 
-        This is what a ``spawn`` pool initializer receives —
-        ``multiprocessing.Value`` carries its own shared-memory pickle
-        reduction, so it must travel as itself, not wrapped.  Counter-
+        This is what a ``spawn`` pool initializer receives — a shared
+        ctypes object carries its own shared-memory pickle reduction,
+        so it must travel as itself, not wrapped.  Counter-
         part of :meth:`from_value`; the only sanctioned way for the
         engine to touch the register's storage.
         """
@@ -100,23 +108,22 @@ class SharedIncumbent:
         if self._value is None:
             self._local = value
         else:
-            with self._value.get_lock():
-                self._value.value = value
+            self._value.value = value
 
     def improve(self, value: int) -> bool:
         """Raise the register to ``value`` if larger.
 
-        Returns True when ``value`` actually improved the register —
-        i.e. no other worker published something at least as good
-        first.
+        Returns True when ``value`` improved the register as this
+        call read it — i.e. no other worker had published something
+        at least as good first.  A racing raise can be lost (see the
+        module docstring); that loosens pruning, nothing more.
         """
         if self._value is None:
             if value > self._local:
                 self._local = value
                 return True
             return False
-        with self._value.get_lock():
-            if value > self._value.value:
-                self._value.value = value
-                return True
-            return False
+        if value > self._value.value:
+            self._value.value = value
+            return True
+        return False

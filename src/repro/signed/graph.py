@@ -22,9 +22,14 @@ MBC* and PF* restrict every phase to a vertex mask over the graph's
 lazily cached adjacency masks (:meth:`SignedGraph.pos_adjacency_bits`),
 in the caller's own ids, and run their graph-level peels on the cached
 flat neighbour array (:meth:`SignedGraph.neighbor_array`); code that
-must edit (EdgeReduction) works on a :meth:`SignedGraph.copy`.  Every
-mutation drops the cached masks and array, so a solve after an edit
-never sees stale adjacency.
+must edit (EdgeReduction) works on a :meth:`SignedGraph.copy`.  The
+mutators are the one place an edit is checked: they reject
+out-of-range ids before touching anything, report what they changed,
+and keep the cached masks current (the edge mutators patch both
+endpoints in place), so a solve after an edit never sees stale
+adjacency and an incremental caller
+(:class:`repro.dynamic.DynamicSolver`) reads the same masks instead
+of keeping its own.
 """
 
 from __future__ import annotations
@@ -207,15 +212,19 @@ class SignedGraph:
     def pos_adjacency_bits(self) -> list[int]:
         """Per-vertex positive-neighbour bitmasks, lazily cached.
 
-        Invalidated by every mutation; callers must not mutate the
-        returned list or hold it across edits.
+        Once built, the list stays current across edge edits:
+        :meth:`add_edge`, :meth:`remove_edge` and :meth:`flip_sign`
+        patch both endpoints' masks in place.  :meth:`add_vertex` and
+        :meth:`isolate_vertex` drop it, so the next call returns a
+        fresh list.  Callers must not mutate the returned list.
         """
         if self._pos_bits is None:
             self._pos_bits = adjacency_masks(self._pos)
         return self._pos_bits
 
     def neg_adjacency_bits(self) -> list[int]:
-        """Per-vertex negative-neighbour bitmasks, lazily cached."""
+        """Per-vertex negative-neighbour bitmasks, lazily cached; same
+        contract as :meth:`pos_adjacency_bits`."""
         if self._neg_bits is None:
             self._neg_bits = adjacency_masks(self._neg)
         return self._neg_bits
@@ -226,8 +235,8 @@ class SignedGraph:
         Returns ``(offsets, neighbors)``: the neighbours of ``v`` are
         ``neighbors[offsets[v]:offsets[v + 1]]``, ascending.  The
         graph-level peels walk it instead of extracting bits from the
-        masks, one machine-word read per edge.  Same invalidation
-        contract as :meth:`pos_adjacency_bits`.
+        masks, one machine-word read per edge.  Dropped by every
+        mutation; callers must not mutate it or hold it across edits.
         """
         if self._neighbor_array is None:
             offsets = array("i", [0])
@@ -247,6 +256,59 @@ class SignedGraph:
         self._neg_bits = None
         self._neighbor_array = None
         self._fingerprint = None
+
+    def _check_ids(self, u: int, v: int | None = None) -> None:
+        """Reject an out-of-range edge ``(u, v)`` (or vertex ``u``)
+        before any mutator touches the adjacency: a negative id would
+        index the lists from the end and leave the graph corrupt."""
+        n = len(self._pos)
+        if v is None:
+            if not 0 <= u < n:
+                raise ValueError(f"vertex {u} out of range for n={n}")
+        elif not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+
+    def _link(self, u: int, v: int, sign: int) -> None:
+        """Join ``u`` and ``v`` with ``sign``: adjacency, counter,
+        fingerprint accumulator and (built) masks.  Drops the CSR
+        array and the fingerprint digest."""
+        if sign == POSITIVE:
+            adjacency, masks = self._pos, self._pos_bits
+            self._pos_edges += 1
+        else:
+            adjacency, masks = self._neg, self._neg_bits
+            self._neg_edges += 1
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+        if masks is not None:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        if self._edge_acc is not None:
+            self._edge_acc ^= _edge_token(u, v, sign)
+        self._neighbor_array = None
+        self._fingerprint = None
+
+    def _unlink(self, u: int, v: int) -> int:
+        """Delete edge ``(u, v)`` as :meth:`_link` adds one; returns
+        the sign it had.  Raises ``KeyError`` if no edge joins them."""
+        if v in self._pos[u]:
+            sign, adjacency, masks = POSITIVE, self._pos, self._pos_bits
+            self._pos_edges -= 1
+        elif v in self._neg[u]:
+            sign, adjacency, masks = NEGATIVE, self._neg, self._neg_bits
+            self._neg_edges -= 1
+        else:
+            raise KeyError(f"no edge between {u} and {v}")
+        adjacency[u].discard(v)
+        adjacency[v].discard(u)
+        if masks is not None:
+            masks[u] &= ~(1 << v)
+            masks[v] &= ~(1 << u)
+        if self._edge_acc is not None:
+            self._edge_acc ^= _edge_token(u, v, sign)
+        self._neighbor_array = None
+        self._fingerprint = None
+        return sign
 
     def pos_degree(self, v: int) -> int:
         """``d+(v)``."""
@@ -298,8 +360,11 @@ class SignedGraph:
             self._labels.append(label)
         return len(self._pos) - 1
 
-    def add_edge(self, u: int, v: int, sign: int) -> None:
+    def add_edge(self, u: int, v: int, sign: int) -> bool:
         """Insert edge ``(u, v)`` with the given sign.
+
+        Returns ``False`` when the edge is already present with the
+        same sign (a no-op) and ``True`` otherwise.
 
         Raises
         ------
@@ -312,77 +377,54 @@ class SignedGraph:
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         if u == v:
             raise ValueError(f"self-loop on vertex {u} is not allowed")
-        n = self.num_vertices
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        self._check_ids(u, v)
         other = self._neg if sign == POSITIVE else self._pos
         if v in other[u]:
             raise ValueError(
                 f"edge ({u}, {v}) already present with opposite sign")
         target = self._pos if sign == POSITIVE else self._neg
         if v in target[u]:
-            return  # duplicate insert of the same edge: no-op
-        target[u].add(v)
-        target[v].add(u)
-        if sign == POSITIVE:
-            self._pos_edges += 1
-        else:
-            self._neg_edges += 1
-        if self._edge_acc is not None:
-            self._edge_acc ^= _edge_token(u, v, sign)
-        self._invalidate_bits()
+            return False
+        self._link(u, v, sign)
+        return True
 
-    def remove_edge(self, u: int, v: int) -> None:
-        """Delete the edge ``(u, v)`` whatever its sign."""
-        if v in self._pos[u]:
-            self._pos[u].discard(v)
-            self._pos[v].discard(u)
-            self._pos_edges -= 1
-            removed_sign = POSITIVE
-        elif v in self._neg[u]:
-            self._neg[u].discard(v)
-            self._neg[v].discard(u)
-            self._neg_edges -= 1
-            removed_sign = NEGATIVE
-        else:
-            raise KeyError(f"no edge between {u} and {v}")
-        if self._edge_acc is not None:
-            self._edge_acc ^= _edge_token(u, v, removed_sign)
-        self._invalidate_bits()
-
-    def flip_sign(self, u: int, v: int) -> None:
-        """Toggle the sign of the existing edge ``(u, v)``.
+    def remove_edge(self, u: int, v: int) -> int:
+        """Delete the edge ``(u, v)`` whatever its sign; returns that
+        sign.
 
         Raises
         ------
+        ValueError
+            on out-of-range endpoints.
         KeyError
             if no edge joins ``u`` and ``v``.
         """
-        if v in self._pos[u]:
-            self._pos[u].discard(v)
-            self._pos[v].discard(u)
-            self._neg[u].add(v)
-            self._neg[v].add(u)
-            self._pos_edges -= 1
-            self._neg_edges += 1
-            old_sign, new_sign = POSITIVE, NEGATIVE
-        elif v in self._neg[u]:
-            self._neg[u].discard(v)
-            self._neg[v].discard(u)
-            self._pos[u].add(v)
-            self._pos[v].add(u)
-            self._neg_edges -= 1
-            self._pos_edges += 1
-            old_sign, new_sign = NEGATIVE, POSITIVE
-        else:
-            raise KeyError(f"no edge between {u} and {v}")
-        if self._edge_acc is not None:
-            self._edge_acc ^= _edge_token(u, v, old_sign)
-            self._edge_acc ^= _edge_token(u, v, new_sign)
-        self._invalidate_bits()
+        self._check_ids(u, v)
+        return self._unlink(u, v)
+
+    def flip_sign(self, u: int, v: int) -> int:
+        """Toggle the sign of the existing edge ``(u, v)``; returns the
+        new sign.
+
+        Raises
+        ------
+        ValueError
+            on out-of-range endpoints.
+        KeyError
+            if no edge joins ``u`` and ``v``.
+        """
+        self._check_ids(u, v)
+        sign = -self._unlink(u, v)
+        self._link(u, v, sign)
+        return sign
 
     def isolate_vertex(self, v: int) -> None:
-        """Remove all edges incident to ``v`` (used by peeling reductions)."""
+        """Remove all edges incident to ``v`` (used by peeling reductions).
+
+        Raises ``ValueError`` if ``v`` is out of range.  Drops the
+        cached masks, like :meth:`add_vertex`.
+        """
+        self._check_ids(v)
         if self._edge_acc is not None:
             for u in self._pos[v]:
                 self._edge_acc ^= _edge_token(u, v, POSITIVE)

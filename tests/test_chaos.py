@@ -21,7 +21,11 @@ completes with the right answer.
 """
 
 import multiprocessing
+import os
 import random
+import signal
+import threading
+import time
 
 import pytest
 
@@ -206,6 +210,51 @@ class TestLostPublicationRecovery:
         # Chunk 0's re-run was asked against the certified floor, not
         # against its own lost publication.
         assert dict(results)[0] == 1
+
+
+def _improve_forever(value):
+    """Child body: publish ever larger values until killed."""
+    incumbent = SharedIncumbent.from_value(value)
+    step = 0
+    while True:
+        step += 1
+        incumbent.improve(step)
+
+
+class TestRegisterSurvivesKilledWriter:
+    def test_parent_register_calls_finish_after_a_writer_dies(self):
+        # Pool termination can kill a worker mid-publication.  The
+        # parent's next reset/get/improve must not wait on anything
+        # the dead worker held.
+        ctx = multiprocessing.get_context(
+            dispatch_module.preferred_start_method())
+        incumbent = SharedIncumbent(0, ctx)
+        for round_ in range(20):
+            incumbent.reset(0)
+            child = ctx.Process(target=_improve_forever,
+                                args=(incumbent.handle,), daemon=True)
+            child.start()
+            deadline = time.monotonic() + 10
+            while incumbent.get() == 0 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            # Let the writer run on its own for a varying moment, so
+            # the kill lands at different points of its loop.
+            time.sleep(0.001 * (1 + round_ % 7))
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(5)
+            assert not child.is_alive()
+
+            def touch():
+                incumbent.reset(1)
+                incumbent.get()
+                incumbent.improve(2)
+
+            caller = threading.Thread(target=touch, daemon=True)
+            caller.start()
+            caller.join(2)
+            assert not caller.is_alive(), \
+                "register call blocked on a lock held by a dead writer"
+            assert incumbent.get() == 2
 
 
 class TestPooledBudgets:

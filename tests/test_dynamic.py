@@ -211,6 +211,30 @@ class TestIncrementalSolve:
         graph.add_edge(1, 4, POSITIVE)
         assert_matches_full(solver)
 
+    def test_external_edit_before_solver_edit_triggers_resync(self):
+        # A balanced clique L = {0, 1, 2}, R = {3, 4, 5} missing (0, 3).
+        left, right = [0, 1, 2], [3, 4, 5]
+        edges = [(u, v, POSITIVE) for side in (left, right)
+                 for u in side for v in side if u < v]
+        edges += [(u, v, NEGATIVE) for u in left for v in right
+                  if (u, v) != (0, 3)]
+        graph = SignedGraph.from_signed_edges(8, edges)
+        tracer = get_tracer(True)
+        previous = install_tracer(tracer)
+        try:
+            solver = DynamicSolver(graph, tau=2)
+            assert solver.solve().clique.size == 5
+            # Bypass the solver, then edit through it: the solver's
+            # edit must not absorb the out-of-band one.
+            graph.add_edge(0, 3, NEGATIVE)
+            solver.add_edge(6, 7, POSITIVE)
+            result = solver.solve()
+        finally:
+            install_tracer(previous)
+        assert result.clique.size == 6
+        assert result.clique.size == mbc_star(graph, tau=2).size
+        assert tracer.counters_snapshot()["dynamic.resyncs"] == 1
+
     def test_vertex_growth_triggers_resync(self):
         graph = figure_graph()
         solver = DynamicSolver(graph, tau=1)

@@ -7,6 +7,9 @@ and solve again: the answer must equal a solve of a fresh ``copy()``
 (which has no cache at all).  They also pin that a solve never changes
 the caller's edges or fingerprint.
 
+The masks themselves stay current across edge edits (patched in
+place, the same list object); vertex edits drop them.
+
 The graph-level peels walk a third cache, the flat neighbour array of
 ``neighbor_array()``.  A stale array still yields the right optimum
 (it only reorders the sweep), so its guards check the cache itself:
@@ -22,6 +25,7 @@ import pytest
 from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_star
 from repro.core.reductions import degrees_inside
+from repro.dynamic import random_edits
 from repro.kernels.active import degeneracy_ordering_array
 from repro.signed.generators import plant_balanced_clique
 from repro.signed.graph import NEGATIVE, POSITIVE, SignedGraph
@@ -134,6 +138,34 @@ NEIGHBOR_MUTATORS = {
     "flip_sign": _flip,
     "isolate_vertex": lambda g: g.isolate_vertex(LEFT[0]),
 }
+
+
+def test_edge_edits_keep_the_masks_current():
+    graph = _planted()
+    pos = graph.pos_adjacency_bits()
+    neg = graph.neg_adjacency_bits()
+    for edit in random_edits(graph, 50, seed=11):
+        if edit.kind == "add":
+            graph.add_edge(edit.u, edit.v, edit.sign)
+        elif edit.kind == "remove":
+            graph.remove_edge(edit.u, edit.v)
+        else:
+            graph.flip_sign(edit.u, edit.v)
+        assert graph.pos_adjacency_bits() is pos
+        assert graph.neg_adjacency_bits() is neg
+        clone = graph.copy()
+        assert pos == clone.pos_adjacency_bits()
+        assert neg == clone.neg_adjacency_bits()
+    # Vertex edits drop the masks: the next call builds fresh lists.
+    for mutate in (NEIGHBOR_MUTATORS["add_vertex"],
+                   NEIGHBOR_MUTATORS["isolate_vertex"]):
+        mutate(graph)
+        fresh_pos = graph.pos_adjacency_bits()
+        fresh_neg = graph.neg_adjacency_bits()
+        assert fresh_pos is not pos and fresh_neg is not neg
+        assert fresh_pos == graph.copy().pos_adjacency_bits()
+        assert fresh_neg == graph.copy().neg_adjacency_bits()
+        pos, neg = fresh_pos, fresh_neg
 
 
 def test_neighbor_array_is_built_once():

@@ -118,6 +118,30 @@ class TestEdges:
         with pytest.raises(KeyError):
             graph.remove_edge(0, 1)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda graph: graph.remove_edge(-1, 1),
+        lambda graph: graph.flip_sign(-1, 2),
+        lambda graph: graph.isolate_vertex(-1),
+    ], ids=["remove_edge", "flip_sign", "isolate_vertex"])
+    def test_negative_id_rejected_before_any_change(self, mutate):
+        graph = SignedGraph.from_signed_edges(
+            4, [(0, 1, 1), (1, 3, 1), (2, 3, -1)])
+        before = graph.fingerprint()
+        with pytest.raises(ValueError, match="out of range for n=4"):
+            mutate(graph)
+        graph.validate()
+        assert graph.fingerprint() == before
+
+    def test_mutators_report_what_changed(self):
+        graph = SignedGraph(3)
+        assert graph.add_edge(0, 1, POSITIVE) is True
+        assert graph.add_edge(1, 0, POSITIVE) is False
+        assert graph.flip_sign(0, 1) == NEGATIVE
+        assert graph.flip_sign(1, 0) == POSITIVE
+        assert graph.remove_edge(0, 1) == POSITIVE
+        assert graph.add_edge(1, 2, NEGATIVE) is True
+        assert graph.remove_edge(2, 1) == NEGATIVE
+
     def test_isolate_vertex(self):
         graph = SignedGraph.from_edges(
             4, positive_edges=[(0, 1), (0, 2)],
