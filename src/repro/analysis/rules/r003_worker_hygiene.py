@@ -13,11 +13,13 @@
    statements only inside ``install_context``.
 
 2. **Incumbent writes only via ``SharedIncumbent``.**  The shared
-   lower bound is a monotone max-register; a direct ``.value =``
-   store or an out-of-class lock dance can lower it, which breaks the
-   exactness argument (a task skipped against an inflated bound may
-   have held the optimum).  Private register state (``._value`` /
-   ``._local``) must not be touched outside ``incumbent.py``.
+   lower bound is a lock-free max-register: ``improve`` writes only a
+   larger value, and a racing ``improve`` may lose a raise, which
+   only loosens pruning.  A direct ``.value =`` store can write any
+   value, and an inflated one breaks the exactness argument (a task
+   skipped against an inflated bound may have held the optimum).
+   Private register state (``._value`` / ``._local``) must not be
+   touched outside ``incumbent.py``.
 
 3. **Everything dispatched must be picklable.**  A lambda or nested
    function handed to a pool method works under ``fork`` and dies
@@ -78,7 +80,7 @@ class WorkerHygieneRule(Rule):
     rationale = (
         "module globals diverge between fork and spawn, unpicklable "
         "callables die only under spawn, and raw incumbent writes can "
-        "lower the shared bound and break exactness")
+        "inflate the shared bound and break exactness")
 
     def applies_to(self, module: ModuleInfo) -> bool:
         return module.package == "repro.parallel"
@@ -129,8 +131,8 @@ class WorkerHygieneRule(Rule):
                         yield self.finding(
                             module, target,
                             ".value store — publish through "
-                            "SharedIncumbent.improve() so the "
-                            "register stays monotone")
+                            "SharedIncumbent.improve(), which only "
+                            "ever writes a larger value")
             if isinstance(node, ast.Attribute) and \
                     node.attr in _PRIVATE_INCUMBENT_ATTRS and \
                     not is_incumbent_module and \
@@ -142,16 +144,9 @@ class WorkerHygieneRule(Rule):
                     "outside incumbent.py — use the public "
                     "SharedIncumbent API")
             if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute):
-                if node.func.attr == "get_lock" and \
-                        not is_incumbent_module:
-                    yield self.finding(
-                        module, node,
-                        ".get_lock() outside incumbent.py — the "
-                        "register's locking is SharedIncumbent's "
-                        "business alone")
-                if node.func.attr in POOL_DISPATCH_METHODS:
-                    yield from self._check_picklable_args(module, node)
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in POOL_DISPATCH_METHODS:
+                yield from self._check_picklable_args(module, node)
 
     def _check_picklable_args(
             self, module: ModuleInfo,

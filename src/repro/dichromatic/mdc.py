@@ -349,6 +349,7 @@ class _ArrayState:
         stats: "SearchStats | None",
     ) -> None:
         self.mat = graph.adjacency_matrix()
+        self.adj = graph.adjacency_bits()  # for the colouring placement
         self.left_row = graph.left_row()
         self.num_vertices = graph.num_vertices
         self.best: set[int] | None = None
@@ -394,7 +395,8 @@ class _ArrayState:
         if left_count < tau_l or active_count - left_count < tau_r:
             return
         if not check_only and self.use_coloring:
-            bound = npmask.coloring_upper_bound_active(mat, active)
+            bound = npmask.coloring_upper_bound_active(
+                mat, active, self.adj)
             if bound <= self.best_size - len(clique):
                 return
 

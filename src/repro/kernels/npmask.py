@@ -327,17 +327,19 @@ def bicore_active(
     return alive_row
 
 
-def coloring_upper_bound_active(mat: "Matrix", active: "Row") -> int:
+def coloring_upper_bound_active(mat: "Matrix", active: "Row",
+                                adj: list[int]) -> int:
     """Greedy-colouring clique bound over ``active`` (``colorUB``).
 
     The greedy placement is inherently sequential — each colour choice
     depends on every earlier one — so a row-at-a-time numpy loop loses
     badly to int masks (0.12x vs bitset in the committed kernel
     benchmark).  Split the kernel instead: the degree ordering (half of
-    the bitset kernel's cost) is computed vectorised, the rows are
-    converted once at the boundary, and placement runs through the
-    shared bitset first-fit loop.  Order is identical by construction:
-    non-increasing degree-in-active, ties by vertex id.
+    the bitset kernel's cost) is computed vectorised from ``mat``, and
+    placement runs through the shared bitset first-fit loop over
+    ``adj``, the same adjacency as int masks (the caller keeps both,
+    so no node converts rows back).  Order is identical by
+    construction: non-increasing degree-in-active, ties by vertex id.
     """
     n = mat.shape[0]
     members = row_indices(active, n)
@@ -346,7 +348,4 @@ def coloring_upper_bound_active(mat: "Matrix", active: "Row") -> int:
     degrees = popcount_words(
         mat & active).sum(axis=1).astype(np.int64)
     order = members[np.lexsort((members, -degrees[members]))]
-    return first_fit_color_count(
-        masks_from_matrix(mat, n), order.tolist())
-
-
+    return first_fit_color_count(adj, order.tolist())

@@ -28,19 +28,20 @@ A solve request body is a JSON object::
 Inline ``edges`` accept the three spellings clients naturally have in
 hand: one ``"u v sign"`` text blob, a list of such lines, or a list of
 ``[u, v, sign]`` triples.  All three are normalised to edge-list lines
-and parsed by the one shared :func:`~repro.signed.io.parse_edge_lines`
-code path, so the error messages (line numbers, self-loop and
-duplicate-edge diagnostics) are identical to the CLI's.
+and read by the CLI's own :func:`~repro.signed.io.read_edge_lines`,
+whose syntax and messages are
+:func:`~repro.signed.io.parse_edge_lines`'s, so the error messages
+(line numbers, self-loop and duplicate-edge diagnostics) are
+identical to the CLI's.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
 from ..signed.graph import SignedGraph
-from ..signed.io import read_edge_list
+from ..signed.io import read_edge_lines
 
 __all__ = [
     "SERVE_SCHEMA",
@@ -275,11 +276,11 @@ def graph_from_inline(spec: dict) -> SignedGraph:
 
     Parse failures surface as 400s carrying the library's own
     message — ``parse_edge_lines`` line numbers, the self-loop
-    diagnostic, ``read_edge_list``'s conflicting-duplicate-edge error
+    diagnostic, ``read_edge_lines``'s conflicting-duplicate-edge error
     — never as 500s (the regression the serve suite pins).
     """
     lines = _inline_lines(spec["edges"])
     try:
-        return read_edge_list(io.StringIO("\n".join(lines)))
+        return read_edge_lines(lines)
     except ValueError as exc:
         raise ProtocolError(400, f"invalid edge list: {exc}") from exc

@@ -35,6 +35,7 @@ of keeping its own.
 from __future__ import annotations
 
 import hashlib
+import operator
 from array import array
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -44,6 +45,8 @@ POSITIVE = 1
 NEGATIVE = -1
 
 __all__ = ["SignedGraph", "POSITIVE", "NEGATIVE"]
+
+_SIGNS = frozenset((POSITIVE, NEGATIVE))
 
 
 def _edge_token(u: int, v: int, sign: int) -> int:
@@ -58,8 +61,8 @@ def _edge_token(u: int, v: int, sign: int) -> int:
     """
     if u > v:
         u, v = v, u
-    payload = f"{u},{v},{sign}".encode()
-    return int.from_bytes(hashlib.sha256(payload).digest(), "big")
+    return int.from_bytes(
+        hashlib.sha256(b"%d,%d,%d" % (u, v, sign)).digest(), "big")
 
 
 class SignedGraph:
@@ -115,13 +118,13 @@ class SignedGraph:
         negative_edges: Iterable[tuple[int, int]] = (),
         labels: Sequence[str] | None = None,
     ) -> "SignedGraph":
-        """Build a graph from explicit positive / negative edge lists."""
-        graph = cls(n, labels=labels)
-        for u, v in positive_edges:
-            graph.add_edge(u, v, POSITIVE)
-        for u, v in negative_edges:
-            graph.add_edge(u, v, NEGATIVE)
-        return graph
+        """Build a graph from explicit positive / negative edge lists
+        (the positive list first, as :meth:`from_signed_edges`)."""
+        return cls.from_signed_edges(
+            n,
+            [(u, v, POSITIVE) for u, v in positive_edges]
+            + [(u, v, NEGATIVE) for u, v in negative_edges],
+            labels=labels)
 
     @classmethod
     def from_signed_edges(
@@ -130,10 +133,62 @@ class SignedGraph:
         edges: Iterable[tuple[int, int, int]],
         labels: Sequence[str] | None = None,
     ) -> "SignedGraph":
-        """Build a graph from ``(u, v, sign)`` triples."""
+        """Build a graph from ``(u, v, sign)`` triples.
+
+        The result and any ``ValueError`` are those of calling
+        :meth:`add_edge` once per triple in order: same-sign
+        duplicates merge, and the first offending triple raises
+        ``add_edge``'s own message.  The edges are linked in bulk
+        (:meth:`_from_columns`); only an input that fails there is
+        replayed edge by edge, to raise that message.
+        """
+        triples = list(edges)
+        graph = cls._from_columns(
+            n, [u for u, _, _ in triples], [v for _, v, _ in triples],
+            [sign for _, _, sign in triples], labels)
+        if graph is None:
+            graph = cls(n, labels=labels)
+            for u, v, sign in triples:
+                graph.add_edge(u, v, sign)
+        return graph
+
+    @classmethod
+    def _from_columns(
+        cls,
+        n: int,
+        us: Sequence[int],
+        vs: Sequence[int],
+        signs: Sequence[int],
+        labels: Sequence[str] | None = None,
+    ) -> "SignedGraph | None":
+        """The bulk builder: edges ``(us[i], vs[i], signs[i])`` in one
+        pass, or ``None`` when some edge would make :meth:`add_edge`
+        raise ``ValueError``.
+
+        Signs, ranges and self-loops are checked over whole columns,
+        the adjacency sets are filled directly, the counters come from
+        the set sizes, and an opposite-sign duplicate shows as a
+        vertex whose positive and negative sets meet.
+        """
         graph = cls(n, labels=labels)
-        for u, v, sign in edges:
-            graph.add_edge(u, v, sign)
+        pos, neg = graph._pos, graph._neg
+        if us:
+            if not ({*signs} <= _SIGNS
+                    and min(us) >= 0 and min(vs) >= 0
+                    and max(us) < n and max(vs) < n) \
+                    or any(map(operator.eq, us, vs)):
+                return None
+            for u, v, sign in zip(us, vs, signs):
+                if sign == POSITIVE:
+                    pos[u].add(v)
+                    pos[v].add(u)
+                else:
+                    neg[u].add(v)
+                    neg[v].add(u)
+            if not all(map(set.isdisjoint, pos, neg)):
+                return None
+        graph._pos_edges = sum(map(len, pos)) // 2
+        graph._neg_edges = sum(map(len, neg)) // 2
         return graph
 
     def copy(self) -> "SignedGraph":
@@ -499,8 +554,12 @@ class SignedGraph:
         if self._fingerprint is None:
             if self._edge_acc is None:
                 acc = 0
-                for u, v, sign in self.edges():
-                    acc ^= _edge_token(u, v, sign)
+                for sign, family in ((POSITIVE, self._pos),
+                                     (NEGATIVE, self._neg)):
+                    for u, adjacency in enumerate(family):
+                        for v in adjacency:
+                            if u < v:
+                                acc ^= _edge_token(u, v, sign)
                 self._edge_acc = acc
             digest = hashlib.sha256()
             digest.update(

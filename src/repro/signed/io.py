@@ -13,12 +13,13 @@ header is stripped, so real datasets drop in directly when available.
 from __future__ import annotations
 
 import os
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 from .graph import NEGATIVE, POSITIVE, SignedGraph
 
 __all__ = [
     "read_edge_list",
+    "read_edge_lines",
     "write_edge_list",
     "parse_edge_lines",
     "load_signed_graph",
@@ -27,6 +28,8 @@ __all__ = [
 
 _POSITIVE_TOKENS = {"1", "+1", "+"}
 _NEGATIVE_TOKENS = {"-1", "-"}
+_SIGN_OF = {**dict.fromkeys(_POSITIVE_TOKENS, POSITIVE),
+            **dict.fromkeys(_NEGATIVE_TOKENS, NEGATIVE)}
 
 
 def parse_edge_lines(
@@ -72,25 +75,76 @@ def parse_edge_lines(
 def read_edge_list(stream: IO[str]) -> SignedGraph:
     """Read a signed graph from an open text stream.
 
-    Vertex ids may be sparse; they are compacted to ``0..n-1`` in order
-    of first appearance of the sorted id set.  Duplicate edges with the
+    Vertex ids may be sparse or negative; they are compacted to
+    ``0..n-1`` in sorted order.  Duplicate edges with the
     same sign are merged silently; a duplicate with conflicting sign
     raises ``ValueError``.
     """
-    triples = list(parse_edge_lines(stream))
-    ids = sorted({u for u, _, _ in triples} | {v for _, v, _ in triples})
+    return read_edge_lines(stream.readlines())
+
+
+def read_edge_lines(lines: Sequence[str]) -> SignedGraph:
+    """:func:`read_edge_list` over edge-list lines already in hand.
+
+    One pass parses the lines into three int columns, one sorted id
+    set compacts them, and :class:`SignedGraph` links them in bulk.
+    The graph and every ``ValueError`` are those of parsing with
+    :func:`parse_edge_lines` and adding the triples one by one.
+    """
+    us, vs, signs = _parse_columns(lines)
+    ids = sorted({*us, *vs})
     index = {old: new for new, old in enumerate(ids)}
-    graph = SignedGraph(len(ids))
-    for u, v, sign in triples:
-        a, b = index[u], index[v]
-        if graph.sign(a, b) == sign:
-            continue
-        try:
-            graph.add_edge(a, b, sign)
-        except ValueError as exc:
-            raise ValueError(
-                f"conflicting duplicate edge ({u}, {v})") from exc
+    graph = SignedGraph._from_columns(
+        len(ids), list(map(index.__getitem__, us)),
+        list(map(index.__getitem__, vs)), signs)
+    if graph is None:
+        raise _first_conflict(us, vs, signs)
     return graph
+
+
+def _parse_columns(
+    lines: Sequence[str],
+) -> tuple[list[int], list[int], list[int]]:
+    """:func:`parse_edge_lines` as three columns, in one tight loop.
+
+    The loop accepts exactly the lines the reference parser accepts;
+    on the first line it rejects, the reference parser runs instead
+    and raises its own ``line N`` message.
+    """
+    us: list[int] = []
+    vs: list[int] = []
+    signs: list[int] = []
+    sign_of = _SIGN_OF
+    try:
+        for raw in lines:
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            first, second, token = parts
+            u = int(first)
+            v = int(second)
+            if u == v:
+                raise ValueError("self-loop")
+            signs.append(sign_of[token])
+            us.append(u)
+            vs.append(v)
+    except (KeyError, ValueError):
+        triples = list(parse_edge_lines(lines))
+        us = [u for u, _, _ in triples]
+        vs = [v for _, v, _ in triples]
+        signs = [sign for _, _, sign in triples]
+    return us, vs, signs
+
+
+def _first_conflict(us: Sequence[int], vs: Sequence[int],
+                    signs: Sequence[int]) -> ValueError:
+    """The error for the first edge whose pair was already read with
+    the other sign, named as its line wrote it."""
+    seen: dict[tuple[int, int], int] = {}
+    for u, v, sign in zip(us, vs, signs):
+        if seen.setdefault((min(u, v), max(u, v)), sign) != sign:
+            return ValueError(f"conflicting duplicate edge ({u}, {v})")
+    raise AssertionError("no conflicting duplicate edge")
 
 
 def write_edge_list(graph: SignedGraph, stream: IO[str]) -> None:

@@ -30,6 +30,7 @@ from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_binary_search, pf_star
 from repro.core.reductions import edge_reduction, edge_reduction_fast
 from repro.core.result import BalancedClique
+from repro.core.stats import SearchStats
 from repro.datasets import load
 from repro.dichromatic.build import build_dichromatic_network, \
     build_dichromatic_network_bits
@@ -458,7 +459,8 @@ class TestNumpyKernelPrimitives:
     def test_coloring_bound_is_valid_clique_bound(self, seed):
         graph = random_dichromatic_graph(seed)
         bound = npmask.coloring_upper_bound_active(
-            graph.adjacency_matrix(), graph.all_row())
+            graph.adjacency_matrix(), graph.all_row(),
+            graph.adjacency_bits())
         assert bound >= _max_clique_size(graph)
 
     def test_swar_popcount_fallback(self, monkeypatch):
@@ -532,6 +534,27 @@ def test_numpy_builds_only_network_matrices(monkeypatch):
         solver.solve()
         solver.beta()
     assert n not in sizes
+
+
+@requires_numpy
+def test_numpy_colouring_bound_converts_no_rows(monkeypatch):
+    # The colouring placement runs on the network's own int masks, kept
+    # beside its matrix, so no search node converts the matrix back.
+    calls = []
+    convert = npmask.masks_from_matrix
+
+    def counting(mat, n):
+        calls.append(n)
+        return convert(mat, n)
+
+    monkeypatch.setattr(npmask, "masks_from_matrix", counting)
+    stats = SearchStats()
+    for seed in range(0, 40, 2):
+        graph = random_dichromatic_graph(seed)
+        by_np = solve_mdc(graph, 1, 1, 0, stats=stats, engine="numpy")
+        assert by_np == solve_mdc(graph, 1, 1, 0, engine="bitset")
+    assert stats.nodes > 0
+    assert calls == []
 
 
 def _max_clique_size(graph: DichromaticGraph) -> int:

@@ -1,13 +1,15 @@
 """Tests for signed-graph I/O."""
 
+import hashlib
 import io
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.signed.graph import NEGATIVE, POSITIVE, SignedGraph
 from repro.signed.io import load_signed_graph, parse_edge_lines, \
-    read_edge_list, save_signed_graph, write_edge_list
+    read_edge_lines, read_edge_list, save_signed_graph, write_edge_list
 
 from .conftest import signed_graphs
 
@@ -107,3 +109,195 @@ class TestReadWrite:
         expected = sorted(
             (relabel[u], relabel[v], s) for u, v, s in graph.edges())
         assert sorted(loaded.edges()) == expected
+
+
+# ----------------------------------------------------------------------
+# Bulk ingest against the per-edge reference
+# ----------------------------------------------------------------------
+def _reference_read(text):
+    """The per-edge reader the bulk path replaces: the reference
+    parser, then one ``sign()`` test and ``add_edge`` per triple."""
+    triples = list(parse_edge_lines(io.StringIO(text)))
+    ids = sorted({u for u, _, _ in triples} | {v for _, v, _ in triples})
+    index = {old: new for new, old in enumerate(ids)}
+    graph = SignedGraph(len(ids))
+    for u, v, sign in triples:
+        a, b = index[u], index[v]
+        if graph.sign(a, b) == sign:
+            continue
+        try:
+            graph.add_edge(a, b, sign)
+        except ValueError as exc:
+            raise ValueError(
+                f"conflicting duplicate edge ({u}, {v})") from exc
+    return graph
+
+
+def _reference_fingerprint(graph):
+    """The fingerprint written out from its definition: SHA-256 over
+    ``n`` and the XOR of one SHA-256 token per ``"u,v,sign"`` edge."""
+    acc = 0
+    for u, v, sign in graph.edges():
+        token = hashlib.sha256(f"{u},{v},{sign}".encode()).digest()
+        acc ^= int.from_bytes(token, "big")
+    payload = f"n={graph.num_vertices};edges={acc:064x}"
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _outcome(build):
+    """What a build yields: the graph's observable state, or the
+    ``ValueError`` message it raised."""
+    try:
+        graph = build()
+    except ValueError as exc:
+        return ("error", str(exc))
+    try:
+        graph.validate()
+        valid = "valid"
+    except AssertionError as exc:
+        valid = str(exc)
+    return ("graph", graph.num_vertices,
+            [sorted(graph.pos_neighbors(v)) for v in graph.vertices()],
+            [sorted(graph.neg_neighbors(v)) for v in graph.vertices()],
+            graph.num_positive_edges, graph.num_negative_edges,
+            valid, graph.fingerprint(), _reference_fingerprint(graph))
+
+
+_IDS = st.sampled_from([-12, -3, -1, 0, 1, 2, 3, 5, 9, 40, 1000])
+_SIGN_TOKENS = st.sampled_from(["1", "+1", "+", "-1", "-"])
+_GAP = st.sampled_from([" ", "  ", "\t", " \t "])
+_LEAD = st.sampled_from(["", " ", "\t"])
+_SKIPPED_LINE = st.sampled_from(["", "   ", "# comment", "  # 1 2 1",
+                                 "#x"])
+_MALFORMED_LINE = st.sampled_from([
+    "1 2", "1 2 1 4", "a 1 1", "1 b -1", "1 2 2", "1 2 +-", "3 3 1",
+    "-3 -3 -", "7\t7 +",
+])
+
+
+@st.composite
+def _edge_list_lines(draw):
+    """Edge lines over sparse and negative ids, mixed with comments
+    and blanks, plus repeats of earlier edges in either orientation
+    and (less often) with the other sign; some inputs get one
+    malformed line, wrong token counts and self-loops included."""
+    lines = []
+    edges = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["edge"] * 5 + ["repeat"] * 2
+                                    + ["skipped"]))
+        if kind == "skipped":
+            lines.append(draw(_SKIPPED_LINE))
+            continue
+        if kind == "repeat" and edges:
+            u, v, token = draw(st.sampled_from(edges))
+            if draw(st.booleans()):
+                u, v = v, u
+            if draw(st.integers(0, 3)) == 0:
+                token = "-" if token in ("1", "+1", "+") else "+1"
+        else:
+            u = draw(_IDS)
+            v = draw(_IDS.filter(lambda v: v != u))
+            token = draw(_SIGN_TOKENS)
+            edges.append((u, v, token))
+        gaps = draw(st.tuples(_GAP, _GAP))
+        lead = draw(_LEAD)
+        lines.append(f"{lead}{u}{gaps[0]}{v}{gaps[1]}{token}{lead}")
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(_MALFORMED_LINE))
+    return lines
+
+
+class TestBulkIngestDifferential:
+    """``read_edge_list`` and ``read_edge_lines`` link their edges in
+    bulk; every input must still give the reference's graph (adjacency,
+    counters, ``validate()``, fingerprint) or its exact error."""
+
+    @given(_edge_list_lines(), st.sampled_from(["\n", "\r\n"]),
+           st.booleans())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_read_matches_reference(self, lines, newline, trailing):
+        text = newline.join(lines) + (newline if trailing else "")
+        expected = _outcome(lambda: _reference_read(text))
+        assert _outcome(lambda: read_edge_list(io.StringIO(text))) \
+            == expected
+        assert _outcome(lambda: read_edge_lines(text.splitlines())) \
+            == _outcome(lambda: _reference_read(
+                "\n".join(text.splitlines())))
+        if expected[0] == "graph":
+            # The bulk fingerprint is the definition's, byte for byte.
+            assert expected[7] == expected[8]
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 1\n2 3 -1\n1 0 -\n5 5 1\n",
+         "line 4: self-loop (5, 5) — signed graphs here are simple"),
+        ("10 20 +\n30 20 -1\n20 10 -\n",
+         "conflicting duplicate edge (20, 10)"),
+        ("-5 7 1\n7 -5 -1\n", "conflicting duplicate edge (7, -5)"),
+        ("0 1 1\n1 0 1\n0 1 -1\n1 0 -1\n",
+         "conflicting duplicate edge (0, 1)"),
+        ("0 1 1\n0 1 -1\n0 1\n", "line 3: expected 'u v sign', "
+                                    "got '0 1'"),
+    ])
+    def test_first_error_in_input_order(self, text, message):
+        with pytest.raises(ValueError) as caught:
+            _reference_read(text)
+        assert str(caught.value) == message
+        with pytest.raises(ValueError) as caught:
+            read_edge_list(io.StringIO(text))
+        assert str(caught.value) == message
+
+
+def _add_edge_loop(n, triples):
+    graph = SignedGraph(n)
+    for u, v, sign in triples:
+        graph.add_edge(u, v, sign)
+    return graph
+
+
+class TestBulkConstructors:
+    """``from_signed_edges`` / ``from_edges`` build in bulk but raise
+    ``add_edge``'s own message for the first offending edge."""
+
+    @pytest.mark.parametrize("n, triples", [
+        (4, [(0, 1, 1), (-1, 2, 1)]),
+        (4, [(0, 1, 1), (2, -3, -1)]),
+        (4, [(0, 1, 1), (2, 4, -1)]),
+        (4, [(0, 1, 1), (2, 2, 1)]),
+        (4, [(0, 1, 1), (2, 3, 0)]),
+        (4, [(0, 1, 1), (1, 0, -1)]),
+        (4, [(0, 1, 1), (0, 1, -1), (5, 6, 1)]),
+        (4, [(5, 6, 1), (0, 1, 1), (0, 1, -1)]),
+    ])
+    def test_signed_edges_raise_add_edge_messages(self, n, triples):
+        with pytest.raises(ValueError) as expected:
+            _add_edge_loop(n, triples)
+        with pytest.raises(ValueError) as caught:
+            SignedGraph.from_signed_edges(n, triples)
+        assert str(caught.value) == str(expected.value)
+
+    @pytest.mark.parametrize("n, positive, negative", [
+        (4, [(0, 1), (-1, 2)], []),
+        (4, [(0, 1)], [(2, 9)]),
+        (4, [(0, 1), (3, 3)], []),
+        (4, [(0, 1)], [(1, 0)]),
+        (4, [(0, 1)], [(2, 3), (0, 1)]),
+    ])
+    def test_from_edges_raises_add_edge_messages(self, n, positive,
+                                                  negative):
+        with pytest.raises(ValueError) as expected:
+            _add_edge_loop(n, [(u, v, POSITIVE) for u, v in positive]
+                           + [(u, v, NEGATIVE) for u, v in negative])
+        with pytest.raises(ValueError) as caught:
+            SignedGraph.from_edges(n, positive, negative)
+        assert str(caught.value) == str(expected.value)
+
+    @given(st.integers(0, 6),
+           st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6),
+                              st.sampled_from([1, -1, 1, -1, 0, 2])),
+                    max_size=20))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_signed_edges_match_add_edge_loop(self, n, triples):
+        assert _outcome(lambda: SignedGraph.from_signed_edges(n, triples)) \
+            == _outcome(lambda: _add_edge_loop(n, triples))
