@@ -68,7 +68,6 @@ __all__ = [
     "clear_bit",
     "test_bit",
     "matrix_from_masks",
-    "masks_from_matrix",
     "degrees_in_active",
     "subtract_members",
     "argmin_active",
@@ -196,15 +195,6 @@ def matrix_from_masks(masks: Sequence[int], n: int) -> "Matrix":
         flat = np.frombuffer(blob, dtype=_WORD_DTYPE).astype(
             np.uint64, copy=True)
         return flat.reshape(len(masks), words_for(n))
-
-
-def masks_from_matrix(mat: "Matrix", n: int) -> list[int]:
-    """Inverse of :func:`matrix_from_masks` (boundary conversion)."""
-    width = words_for(n) * _WORD_BYTES
-    blob = mat.astype(_WORD_DTYPE, copy=False).tobytes()
-    return [
-        int.from_bytes(blob[i * width:(i + 1) * width], "little")
-        for i in range(mat.shape[0])]
 
 
 # ----------------------------------------------------------------------

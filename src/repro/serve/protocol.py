@@ -250,7 +250,12 @@ def parse_edits_request(payload: dict) -> str:
 
 
 def _inline_lines(edges: object) -> "list[str]":
-    """Normalise the three inline-edge spellings to edge-list lines."""
+    """Normalise the three inline-edge spellings to edge-list lines.
+
+    A text blob splits at every line boundary; an array item splits at
+    each ``\\n`` it holds, so ``["0 1 1\\n1 2 -1"]`` is two lines and
+    later items are numbered after both.
+    """
     if isinstance(edges, str):
         return edges.splitlines()
     if not isinstance(edges, list):
@@ -261,9 +266,9 @@ def _inline_lines(edges: object) -> "list[str]":
     lines: list[str] = []
     for index, item in enumerate(edges, start=1):
         if isinstance(item, str):
-            lines.append(item)
+            lines += item.split("\n")
         elif isinstance(item, list) and len(item) == 3:
-            lines.append(" ".join(str(part) for part in item))
+            lines += " ".join(str(part) for part in item).split("\n")
         else:
             raise ProtocolError(
                 400, f"edges[{index - 1}] must be a 'u v sign' line "

@@ -26,10 +26,8 @@ __all__ = [
     "save_signed_graph",
 ]
 
-_POSITIVE_TOKENS = {"1", "+1", "+"}
-_NEGATIVE_TOKENS = {"-1", "-"}
-_SIGN_OF = {**dict.fromkeys(_POSITIVE_TOKENS, POSITIVE),
-            **dict.fromkeys(_NEGATIVE_TOKENS, NEGATIVE)}
+_SIGN_OF = {"1": POSITIVE, "+1": POSITIVE, "+": POSITIVE,
+            "-1": NEGATIVE, "-": NEGATIVE}
 
 
 def parse_edge_lines(
@@ -41,35 +39,54 @@ def parse_edge_lines(
     with the offending line number for malformed input, including
     self-loops — :class:`~repro.signed.graph.SignedGraph` would reject
     one anyway, but only after id compaction has destroyed the line
-    number the user needs to fix their file.
+    number the user needs to fix their file.  The whole input is read
+    before the first triple is returned (:func:`_parse_columns`).
     """
+    us, vs, signs = _parse_columns(lines)
+    return zip(us, vs, signs)
+
+
+def _parse_columns(
+    lines: Iterable[str],
+) -> tuple[list[int], list[int], list[int]]:
+    """The edge-list syntax: lines to ``u``, ``v`` and sign columns.
+
+    The one definition of the format and of its ``line N`` messages;
+    :func:`parse_edge_lines` and :func:`read_edge_lines` both read
+    through it.  ``raw.split()`` drops the same whitespace as
+    ``raw.strip()``, so a line is a comment iff its first token starts
+    with ``#``.
+    """
+    us: list[int] = []
+    vs: list[int] = []
+    signs: list[int] = []
+    sign_of = _SIGN_OF.get
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise ValueError(
-                f"line {lineno}: expected 'u v sign', got {line!r}")
+                f"line {lineno}: expected 'u v sign', got {raw.strip()!r}")
         try:
             u = int(parts[0])
             v = int(parts[1])
         except ValueError as exc:
             raise ValueError(
-                f"line {lineno}: non-integer endpoint in {line!r}") from exc
+                f"line {lineno}: non-integer endpoint in "
+                f"{raw.strip()!r}") from exc
         if u == v:
             raise ValueError(
                 f"line {lineno}: self-loop ({u}, {v}) — signed graphs "
                 f"here are simple")
-        token = parts[2]
-        if token in _POSITIVE_TOKENS:
-            sign = POSITIVE
-        elif token in _NEGATIVE_TOKENS:
-            sign = NEGATIVE
-        else:
+        sign = sign_of(parts[2])
+        if sign is None:
             raise ValueError(
-                f"line {lineno}: sign must be +1/-1, got {token!r}")
-        yield u, v, sign
+                f"line {lineno}: sign must be +1/-1, got {parts[2]!r}")
+        us.append(u)
+        vs.append(v)
+        signs.append(sign)
+    return us, vs, signs
 
 
 def read_edge_list(stream: IO[str]) -> SignedGraph:
@@ -80,11 +97,11 @@ def read_edge_list(stream: IO[str]) -> SignedGraph:
     same sign are merged silently; a duplicate with conflicting sign
     raises ``ValueError``.
     """
-    return read_edge_lines(stream.readlines())
+    return read_edge_lines(stream)
 
 
-def read_edge_lines(lines: Sequence[str]) -> SignedGraph:
-    """:func:`read_edge_list` over edge-list lines already in hand.
+def read_edge_lines(lines: Iterable[str]) -> SignedGraph:
+    """:func:`read_edge_list` over any iterable of edge-list lines.
 
     One pass parses the lines into three int columns, one sorted id
     set compacts them, and :class:`SignedGraph` links them in bulk.
@@ -100,40 +117,6 @@ def read_edge_lines(lines: Sequence[str]) -> SignedGraph:
     if graph is None:
         raise _first_conflict(us, vs, signs)
     return graph
-
-
-def _parse_columns(
-    lines: Sequence[str],
-) -> tuple[list[int], list[int], list[int]]:
-    """:func:`parse_edge_lines` as three columns, in one tight loop.
-
-    The loop accepts exactly the lines the reference parser accepts;
-    on the first line it rejects, the reference parser runs instead
-    and raises its own ``line N`` message.
-    """
-    us: list[int] = []
-    vs: list[int] = []
-    signs: list[int] = []
-    sign_of = _SIGN_OF
-    try:
-        for raw in lines:
-            parts = raw.split()
-            if not parts or parts[0][0] == "#":
-                continue
-            first, second, token = parts
-            u = int(first)
-            v = int(second)
-            if u == v:
-                raise ValueError("self-loop")
-            signs.append(sign_of[token])
-            us.append(u)
-            vs.append(v)
-    except (KeyError, ValueError):
-        triples = list(parse_edge_lines(lines))
-        us = [u for u, _, _ in triples]
-        vs = [v for _, v, _ in triples]
-        signs = [sign for _, _, sign in triples]
-    return us, vs, signs
 
 
 def _first_conflict(us: Sequence[int], vs: Sequence[int],

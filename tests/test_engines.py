@@ -30,7 +30,6 @@ from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_binary_search, pf_star
 from repro.core.reductions import edge_reduction, edge_reduction_fast
 from repro.core.result import BalancedClique
-from repro.core.stats import SearchStats
 from repro.datasets import load
 from repro.dichromatic.build import build_dichromatic_network, \
     build_dichromatic_network_bits
@@ -537,24 +536,20 @@ def test_numpy_builds_only_network_matrices(monkeypatch):
 
 
 @requires_numpy
-def test_numpy_colouring_bound_converts_no_rows(monkeypatch):
-    # The colouring placement runs on the network's own int masks, kept
-    # beside its matrix, so no search node converts the matrix back.
-    calls = []
-    convert = npmask.masks_from_matrix
-
-    def counting(mat, n):
-        calls.append(n)
-        return convert(mat, n)
-
-    monkeypatch.setattr(npmask, "masks_from_matrix", counting)
-    stats = SearchStats()
-    for seed in range(0, 40, 2):
-        graph = random_dichromatic_graph(seed)
-        by_np = solve_mdc(graph, 1, 1, 0, stats=stats, engine="numpy")
-        assert by_np == solve_mdc(graph, 1, 1, 0, engine="bitset")
-    assert stats.nodes > 0
-    assert calls == []
+@pytest.mark.parametrize("seed", range(20))
+def test_numpy_colouring_bound_equals_bitset(seed):
+    # The numpy bound orders vertices from the matrix and places them
+    # on the int masks the caller passes, so on any active subset it
+    # equals the bitset bound over the same masks.
+    graph = random_dichromatic_graph(seed)
+    adj = graph.adjacency_bits()
+    mat = graph.adjacency_matrix()
+    rng = random.Random(seed)
+    for _ in range(5):
+        active = rng.getrandbits(graph.num_vertices)
+        row = npmask.row_from_mask(active, graph.num_vertices)
+        assert npmask.coloring_upper_bound_active(mat, row, adj) \
+            == coloring_upper_bound_active_mask(adj, active)
 
 
 def _max_clique_size(graph: DichromaticGraph) -> int:

@@ -14,6 +14,7 @@ regardless of what earlier requests on the same fixture did.
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import socket
 import threading
@@ -35,7 +36,9 @@ from repro.serve import (
     SolverService,
     parse_dataset_ref,
 )
+from repro.serve.protocol import graph_from_inline
 from repro.signed.graph import POSITIVE, SignedGraph
+from repro.signed.io import read_edge_list
 
 from .conftest import make_random_signed_graph
 
@@ -365,6 +368,11 @@ class TestInlineEdgeErrors:
     def test_text_blob_spelling(self, server):
         self._reject(server, "0 1 1\n0 0 1", "line 2", "self-loop")
 
+    def test_array_item_holding_two_lines(self, server):
+        # The item's newline starts a line, so the bad item is line 3.
+        self._reject(server, ["0 1 1\n1 2 -1", "2 3"],
+                     "line 3: expected 'u v sign', got '2 3'")
+
     def test_malformed_triple_is_400(self, server):
         status, body = post(server, "/solve", {
             "graph": {"edges": [[0, 1]]}, "problem": "mbc"})
@@ -375,6 +383,35 @@ class TestInlineEdgeErrors:
         status, body = post(server, "/solve", {
             "graph": {"edges": 42}, "problem": "mbc"})
         assert status == 400
+
+
+class TestInlineLines:
+    """An array of lines reads as the lines joined by ``\\n``, read as
+    one edge-list stream."""
+
+    @pytest.mark.parametrize("edges", [
+        ["0 1 1\n1 2 -1"],
+        ["0 1 1\n1 2 -1", "2 3"],
+        ["0 1 1\n", "", "1 2 -1\n\n", "2 2 1"],
+        ["0 1 1\r\n1 2 -1", "2 3 +"],
+        ["0 1 1\r1 2 -1"],
+        [[0, 1, 1], ["1", "2\n2", "1"]],
+        [[0, 1, 1], ["1", "2", "-1\n3 4 1"], "4 4 -"],
+        [""],
+    ])
+    def test_matches_joined_stream(self, edges):
+        def read(build):
+            try:
+                graph = build()
+            except (ProtocolError, ValueError) as exc:
+                return str(exc).removeprefix("invalid edge list: ")
+            return graph.num_vertices, sorted(graph.edges())
+
+        joined = "\n".join(
+            item if isinstance(item, str)
+            else " ".join(str(part) for part in item) for item in edges)
+        assert read(lambda: graph_from_inline({"edges": edges})) \
+            == read(lambda: read_edge_list(io.StringIO(joined)))
 
 
 # -- solving through the wire ------------------------------------------

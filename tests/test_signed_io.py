@@ -114,10 +114,42 @@ class TestReadWrite:
 # ----------------------------------------------------------------------
 # Bulk ingest against the per-edge reference
 # ----------------------------------------------------------------------
+def _reference_parse(lines):
+    """The line-at-a-time parser the column loop replaced, kept as the
+    oracle for the syntax and its ``line N`` messages."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(
+                f"line {lineno}: expected 'u v sign', got {line!r}")
+        try:
+            u = int(parts[0])
+            v = int(parts[1])
+        except ValueError as exc:
+            raise ValueError(
+                f"line {lineno}: non-integer endpoint in {line!r}") from exc
+        if u == v:
+            raise ValueError(
+                f"line {lineno}: self-loop ({u}, {v}) — signed graphs "
+                f"here are simple")
+        token = parts[2]
+        if token in {"1", "+1", "+"}:
+            sign = POSITIVE
+        elif token in {"-1", "-"}:
+            sign = NEGATIVE
+        else:
+            raise ValueError(
+                f"line {lineno}: sign must be +1/-1, got {token!r}")
+        yield u, v, sign
+
+
 def _reference_read(text):
     """The per-edge reader the bulk path replaces: the reference
     parser, then one ``sign()`` test and ``add_edge`` per triple."""
-    triples = list(parse_edge_lines(io.StringIO(text)))
+    triples = list(_reference_parse(io.StringIO(text)))
     ids = sorted({u for u, _, _ in triples} | {v for _, v, _ in triples})
     index = {old: new for new, old in enumerate(ids)}
     graph = SignedGraph(len(ids))
@@ -142,6 +174,14 @@ def _reference_fingerprint(graph):
         acc ^= int.from_bytes(token, "big")
     payload = f"n={graph.num_vertices};edges={acc:064x}"
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _parsed(parse, text):
+    """The triples ``parse`` reads from ``text``, or its message."""
+    try:
+        return list(parse(io.StringIO(text)))
+    except ValueError as exc:
+        return str(exc)
 
 
 def _outcome(build):
@@ -222,9 +262,11 @@ class TestBulkIngestDifferential:
         expected = _outcome(lambda: _reference_read(text))
         assert _outcome(lambda: read_edge_list(io.StringIO(text))) \
             == expected
-        assert _outcome(lambda: read_edge_lines(text.splitlines())) \
+        assert _outcome(lambda: read_edge_lines(iter(text.splitlines()))) \
             == _outcome(lambda: _reference_read(
                 "\n".join(text.splitlines())))
+        assert _parsed(parse_edge_lines, text) \
+            == _parsed(_reference_parse, text)
         if expected[0] == "graph":
             # The bulk fingerprint is the definition's, byte for byte.
             assert expected[7] == expected[8]
