@@ -24,9 +24,8 @@ Three resolution layers feed it:
   (``dispatcher.run`` -> ``ResilientDispatcher.run``);
 * **table registrations** — function references escaping into
   module-level dict literals or registration calls (the CLI
-  ``_COMMANDS`` table, ``register_engine(EngineSpec(...))``) become
-  ``table`` edges from the module scope, so registry-dispatched
-  handlers are reachable in the graph.
+  ``_COMMANDS`` table) become ``table`` edges from the module scope,
+  so registry-dispatched handlers are reachable in the graph.
 
 Nothing here imports the solver stack (R006): the loader works on
 :class:`~repro.analysis.engine.ModuleInfo` objects only, so a broken

@@ -19,7 +19,8 @@ silently invert it)::
       ^        ^
  baselines  datasets             (comparison code and stand-ins)
       ^        ^
-       dynamic                   (incremental re-solving over edits)
+       dynamic                   (incremental re-solving over edits;
+                                  serial, so not parallel)
       ^        ^
         serve                    (HTTP daemon: cache + registry +
                                   worker pool over everything below)
@@ -76,8 +77,8 @@ ALLOWED_PACKAGE_IMPORTS: dict[str, frozenset[str]] = {
          "repro.obs", "repro.resilience"}),
     "repro.dynamic": frozenset(
         {"repro.kernels", "repro.signed", "repro.unsigned",
-         "repro.dichromatic", "repro.parallel", "repro.core",
-         "repro.obs", "repro.resilience"}),
+         "repro.dichromatic", "repro.core", "repro.obs",
+         "repro.resilience"}),
     "repro.baselines": frozenset(
         {"repro.kernels", "repro.signed", "repro.unsigned",
          "repro.metrics", "repro.obs", "repro.resilience"}),

@@ -62,11 +62,14 @@ __all__ = ["main", "build_parser", "EXIT_BUDGET_EXHAUSTED"]
 EXIT_BUDGET_EXHAUSTED = 3
 
 
-def _add_solve_flags(subparser: argparse.ArgumentParser) -> None:
+def _add_workers_flag(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="worker processes for the ego-network sweep (default 1 = "
              "serial)")
+
+
+def _add_solve_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write a repro.obs JSONL trace of the solve to PATH")
@@ -100,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     mbc.add_argument(
         "--algorithm", choices=["star", "baseline"], default="star",
         help="solver: MBC* (default) or the enumeration baseline")
+    _add_workers_flag(mbc)
     _add_solve_flags(mbc)
 
     pf = sub.add_parser("pf", aliases=["pf-star"],
@@ -108,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument(
         "--algorithm", choices=["star", "binary-search", "enumeration"],
         default="star", help="solver (default PF*)")
+    _add_workers_flag(pf)
     _add_solve_flags(pf)
 
     gmbc = sub.add_parser(
@@ -116,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     gmbc.add_argument("graph", help="edge-list path or dataset:NAME")
     gmbc.add_argument(
         "--algorithm", choices=["star", "naive"], default="star")
+    _add_workers_flag(gmbc)
     _add_solve_flags(gmbc)
 
     dynamic = sub.add_parser(
@@ -280,8 +286,7 @@ def _cmd_pf(args: argparse.Namespace) -> int:
         if args.algorithm == "star":
             beta = pf_star(graph, parallel=args.workers, budget=budget)
         elif args.algorithm == "binary-search":
-            beta = pf_binary_search(graph, parallel=args.workers,
-                                    budget=budget)
+            beta = pf_binary_search(graph, budget=budget)
         else:
             beta = pf_enumeration(graph, budget=budget)
     finally:
@@ -307,7 +312,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     with open(args.edits, encoding="utf-8") as handle:
         edits = parse_edit_script(handle.read())
     tracer = _install_cli_tracer(args)
-    solver = DynamicSolver(graph, args.tau, parallel=args.workers)
+    solver = DynamicSolver(graph, args.tau)
     any_truncated = False
 
     def solve_once(prefix: str) -> None:

@@ -134,7 +134,6 @@ def pf_binary_search(
     graph: SignedGraph,
     stats: SearchStats | None = None,
     engine: str = "bitset",
-    parallel: int = 0,
     trace: Tracer | None = None,
     budget: "Budget | None" = None,
 ) -> int:
@@ -142,8 +141,8 @@ def pf_binary_search(
 
     Each probe runs MBC* in ``check_only`` mode (terminate as soon as
     both residual thresholds hit zero — the Section IV-B optimization).
-    ``parallel`` is accepted for interface parity but the probes stay
-    serial: ``check_only`` searches stop at the first witness.
+    The probes run serially: ``check_only`` searches stop at the first
+    witness.
 
     A ``budget`` is shared by all probes.  On exhaustion the returned
     value is the last *certified* ``tau`` — a probe that produced a
@@ -163,8 +162,7 @@ def pf_binary_search(
             with tracer.span("probe", tau=mid) as probe:
                 witness = mbc_star(
                     graph, mid, check_only=True, stats=stats,
-                    engine=engine, parallel=parallel, trace=tracer,
-                    budget=budget)
+                    engine=engine, trace=tracer, budget=budget)
                 feasible = witness.satisfies(mid) \
                     and not witness.is_empty
                 probe.set(feasible=feasible)

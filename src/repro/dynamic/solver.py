@@ -11,9 +11,11 @@ best anchored optimum over all ``u``.  The dynamic solver makes that
 decomposition *persistent*:
 
 * a fixed degeneracy order over **all** vertices is computed once at
-  construction.  Any fixed order keeps the decomposition exhaustive
-  (every clique has a unique lowest-ranked member), so the order never
-  needs to track edits — only the per-ego answers do;
+  construction, by the peel MBC* runs
+  (:func:`~repro.kernels.active.degeneracy_ordering_array` over the
+  graph's neighbour array).  Any fixed order keeps the decomposition
+  exhaustive (every clique has a unique lowest-ranked member), so the
+  order never needs to track edits — only the per-ego answers do;
 * per vertex ``u`` an :class:`EgoEntry` caches certified bounds
   ``lower <= val(u) <= upper`` plus the witness clique backing
   ``lower``.  Bounds come from the exhaustive-above-floor contract of
@@ -61,10 +63,8 @@ from ..core.result import EMPTY_RESULT, BalancedClique, SolveResult
 from ..dichromatic.ego import (
     DCC_STEPS, MDC_STEPS, ego_adjacency, witness_members)
 from ..kernels import validate_engine
-from ..kernels.active import degeneracy_ordering_mask
+from ..kernels.active import degeneracy_ordering_array, suffix_masks
 from ..obs import current_tracer
-from ..parallel.engine import resolve_workers
-from ..parallel.tasks import suffix_masks
 from ..resilience.budget import Budget, BudgetExceeded
 from ..signed.graph import SignedGraph
 
@@ -101,9 +101,9 @@ class DynamicSolver:
     exist there.  ``tau >= 1`` is required: the ``tau = 0`` problem
     degenerates to unsigned maximum clique with single-vertex bases,
     which the ego decomposition's feasibility bounds do not model.
-    ``parallel`` is validated as there, but every re-solve runs the
-    serial ego loop: a re-solve queue is far below the size at which
-    a process pool pays (EXPERIMENTS.md, "Pool crossover").
+    Every re-solve runs the serial ego loop: a re-solve queue is far
+    below the size at which a process pool pays (EXPERIMENTS.md,
+    "Pool crossover").
 
     The solver takes ownership of mutations: edit the graph through
     :meth:`add_edge` / :meth:`remove_edge` / :meth:`flip_sign` only
@@ -119,15 +119,13 @@ class DynamicSolver:
         graph: SignedGraph,
         tau: int,
         engine: str = "bitset",
-        parallel: int = 0,
         use_core: bool = True,
         use_coloring: bool = True,
     ) -> None:
         if tau < 1:
             raise ValueError(
                 f"DynamicSolver requires tau >= 1, got {tau}")
-        workers = resolve_workers(parallel)
-        validate_engine(engine, workers)
+        validate_engine(engine)
         self._graph = graph
         self._tau = tau
         self._engine = engine
@@ -170,10 +168,11 @@ class DynamicSolver:
         graph = self._graph
         n = graph.num_vertices
         self._n = n
-        adjacency = [p | q for p, q in zip(graph.pos_adjacency_bits(),
-                                           graph.neg_adjacency_bits())]
-        full_mask = (1 << n) - 1
-        self._order = degeneracy_ordering_mask(adjacency, full_mask)
+        # The peel MBC* runs, over every vertex of the graph.
+        offsets, targets = graph.neighbor_array()
+        degree = [offsets[v + 1] - offsets[v] for v in range(n)]
+        self._order = degeneracy_ordering_array(
+            offsets, targets, list(range(n)), degree)
         self._allowed = suffix_masks(self._order)
         self._entries = [EgoEntry() for _ in range(n)]
         self._dirty: set[int] = set()

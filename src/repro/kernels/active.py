@@ -15,7 +15,9 @@ degeneracy ordering) also come fed from a graph's flat neighbour array
 :func:`k_core_array` and :func:`degeneracy_ordering_array` read one
 machine word per edge where the mask forms extract bits from wide
 ints.  Both degeneracy orderings share one bucket loop,
-:func:`degeneracy_peel`, so they return the same order.
+:func:`degeneracy_peel`, so they return the same order, and
+:func:`suffix_masks` turns an order into the ego instances'
+higher-ranked candidate masks.
 
 Semantics mirror the set implementations in
 :mod:`repro.dichromatic.cores` exactly (the differential engine tests
@@ -42,6 +44,7 @@ __all__ = [
     "degeneracy_ordering_array",
     "degeneracy_peel",
     "k_core_array",
+    "suffix_masks",
 ]
 
 
@@ -208,6 +211,11 @@ def degeneracy_ordering_mask(adj: list[int], active: int) -> list[int]:
     with the same lazy bucket-queue scheme.  Tie-breaking (and hence the
     exact order) may differ from the set implementation — any valid
     degeneracy order is acceptable to the callers.
+
+    No solver calls it: MBC*, PF*-DOrder and the dynamic solver order
+    with :func:`degeneracy_ordering_array`.  It stays as the reference
+    the order-equality tests (``tests/test_property.py``) compare that
+    path against.
     """
     # Extract neighbour lists once — the peel itself then runs entirely
     # on machine-word ints (a wide-mask op per *edge* would dominate on
@@ -325,6 +333,22 @@ def k_core_array(offsets: "array[int]", targets: "array[int]", k: int,
                     inside[u] = 0
                     stack.append(u)
     return inside
+
+
+def suffix_masks(order: list[int]) -> dict[int, int]:
+    """``{u: mask of vertices after u in order}`` for every vertex.
+
+    The higher-ranked candidate masks of the ego instances, one
+    O(len(order)) pass over a peel's order: the dynamic solver keeps
+    them across edits, and pool workers rebuild them from the shipped
+    ordering instead of receiving an n-bit mask per dispatched task.
+    """
+    masks: dict[int, int] = {}
+    accumulated = 0
+    for u in reversed(order):
+        masks[u] = accumulated
+        accumulated |= 1 << u
+    return masks
 
 
 def active_edge_count_mask(adj: list[int], active: int) -> int:

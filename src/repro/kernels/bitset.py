@@ -32,8 +32,6 @@ __all__ = [
     "iter_bits",
     "bits_of",
     "popcount",
-    "is_subset",
-    "lowest_set_bit",
     "adjacency_masks",
     "left_side_mask",
     "mask_stride",
@@ -71,18 +69,6 @@ def bits_of(mask: int) -> list[int]:
 def popcount(mask: int) -> int:
     """Number of set bits (thin alias kept for call-site readability)."""
     return mask.bit_count()
-
-
-def is_subset(a: int, b: int) -> bool:
-    """Whether every member of ``a`` is a member of ``b``."""
-    return not (a & ~b)
-
-
-def lowest_set_bit(mask: int) -> int:
-    """Smallest vertex id in a non-empty mask."""
-    if not mask:
-        raise ValueError("empty mask has no lowest bit")
-    return (mask & -mask).bit_length() - 1
 
 
 def adjacency_masks(neighborhoods: Sequence[Iterable[int]]) -> list[int]:

@@ -24,7 +24,6 @@ from .tasks import (
     cost_ordered,
     is_viable,
     plan_tasks,
-    suffix_masks,
 )
 from .worker import WorkerContext, install_context
 
@@ -41,7 +40,6 @@ __all__ = [
     "cost_ordered",
     "is_viable",
     "plan_tasks",
-    "suffix_masks",
     "WorkerContext",
     "install_context",
 ]

@@ -39,7 +39,6 @@ __all__ = [
     "peel_costs",
     "planned_later",
     "chunk_vertices",
-    "suffix_masks",
 ]
 
 
@@ -148,19 +147,3 @@ def chunk_vertices(
         chunk_size = max(1, min(16, len(vertices) // (workers * 4) or 1))
     return [vertices[i:i + chunk_size]
             for i in range(0, len(vertices), chunk_size)]
-
-
-def suffix_masks(order: list[int]) -> dict[int, int]:
-    """``{u: mask of vertices after u in order}`` for every vertex.
-
-    Workers rebuild the per-task allowed masks from the shipped
-    ordering with this helper instead of receiving a mask per task:
-    one O(len(order)) pass at pool start replaces an n-bit pickle per
-    dispatched task.
-    """
-    masks: dict[int, int] = {}
-    accumulated = 0
-    for u in reversed(order):
-        masks[u] = accumulated
-        accumulated |= 1 << u
-    return masks

@@ -15,7 +15,7 @@ start:
 
 Chunks then carry only vertex ids; the per-task allowed masks are
 rebuilt worker-side from the shipped order
-(:func:`repro.parallel.tasks.suffix_masks`).
+(:func:`repro.kernels.active.suffix_masks`).
 
 The per-task bodies are the ego steps of :mod:`repro.dichromatic.ego`,
 the same functions the serial MBC*/PF* sweeps call; the runners below
@@ -37,11 +37,11 @@ from typing import Any
 
 from ..core.stats import SearchStats
 from ..dichromatic.ego import DCC_STEPS, MDC_STEPS, witness_members
+from ..kernels.active import suffix_masks
 from ..kernels.bitset import masks_from_bytes, masks_to_bytes
 from ..obs import TraceBuffer, get_tracer, install_tracer
 from ..resilience.faults import fire_faults
 from .incumbent import SharedIncumbent
-from .tasks import suffix_masks
 
 __all__ = [
     "WorkerContext",

@@ -284,7 +284,7 @@ class SolverService:
     ) -> RegisteredGraph:
         """Build the resident solver for a graph (pool-safe: the cold
         priming sweep is the expensive part of registration)."""
-        solver = DynamicSolver(graph, tau, parallel=self.workers)
+        solver = DynamicSolver(graph, tau)
         return RegisteredGraph(name=name, solver=solver, tau=tau)
 
     def commit_registration(

@@ -2,27 +2,37 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.kernels import available_engines
 from repro.kernels.npmask import HAVE_NUMPY
 from repro.signed.graph import NEGATIVE, POSITIVE, SignedGraph
 
+#: ``HYPOTHESIS_PROFILE=stateful-10x`` runs the state machines of
+#: ``tests/test_stateful.py`` with ten times the default profile's
+#: examples (the CI ``dynamic`` job); tier-1 keeps the default.
+settings.register_profile(
+    "stateful-10x", max_examples=10 * settings.get_profile(
+        "default").max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
 #: Skip marker for tests that exercise the numpy kernel backend
 #: directly.  numpy is an optional extra (``pip install repro[numpy]``)
-#: and the engine registry reports it unavailable when absent, so the
+#: and ``available_engines()`` leaves it out when absent, so the
 #: differential matrices (which parametrize over
 #: :data:`SOLVER_ENGINES`) degrade gracefully without it.
 requires_numpy = pytest.mark.skipif(
     not HAVE_NUMPY,
     reason="numpy not installed (pip install repro[numpy])")
 
-#: Every registered engine that is usable in this environment — the
-#: axis the differential matrices sweep.  ``set`` and ``bitset`` are
-#: always present; ``numpy`` joins when the import probe succeeds.
+#: Every engine that is usable in this environment — the axis the
+#: differential matrices sweep.  ``set`` and ``bitset`` are always
+#: present; ``numpy`` joins when numpy imports.
 SOLVER_ENGINES: tuple[str, ...] = available_engines()
 
 #: The available engines that support the parallel fan-out.

@@ -759,6 +759,14 @@ class TestRuleScoping:
                   "from ..core.mbc_star import mbc_star as m\n")
         assert rule_hits(driver, "repro.parallel.fixture", "R006")
 
+    def test_r006_dynamic_may_not_import_the_pool(self):
+        kernel = ('__all__ = ["s"]\n'
+                  "from ..kernels.active import suffix_masks as s\n")
+        assert rule_hits(kernel, "repro.dynamic.fixture", "R006") == []
+        pool = ('__all__ = ["r"]\n'
+                "from ..parallel.engine import resolve_workers as r\n")
+        assert rule_hits(pool, "repro.dynamic.fixture", "R006")
+
     def test_r006_analysis_must_stay_stdlib_only(self):
         source = ('__all__ = ["g"]\n'
                   "from ..signed.graph import SignedGraph as g\n")

@@ -31,6 +31,12 @@ class TestParser:
                 [command, "g.txt", "--workers", "4"])
             assert args.workers == 4
 
+    def test_dynamic_has_no_workers_flag(self):
+        # Dynamic re-solves are serial; no pool knob is offered.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["dynamic", "g.txt", "--edits", "e.txt", "--workers", "2"])
+
     def test_generate_rejects_unknown_dataset(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate", "nope", "out.txt"])

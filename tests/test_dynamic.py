@@ -30,7 +30,7 @@ from repro.parallel.dispatch import ResilientDispatcher
 from repro.resilience.budget import Budget
 from repro.signed.graph import NEGATIVE, POSITIVE, SignedGraph
 
-from .conftest import PARALLEL_ENGINES, SOLVER_ENGINES
+from .conftest import SOLVER_ENGINES
 
 #: Real stand-ins whose seeded edit streams are replayed at tau=3.
 STAND_INS = ("bitcoin", "adjwordnet", "referendum", "douban")
@@ -84,11 +84,6 @@ class TestConstruction:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             DynamicSolver(SignedGraph(4), tau=1, engine="quantum")
-
-    def test_serial_engine_rejects_parallel(self):
-        with pytest.raises(ValueError):
-            DynamicSolver(SignedGraph(4), tau=1, engine="set",
-                          parallel=2)
 
     def test_empty_graph(self):
         solver = DynamicSolver(SignedGraph(0), tau=1)
@@ -268,14 +263,14 @@ class TestIncrementalSolve:
 
 class TestSerialPath:
     """A re-solve is the solver's own ego loop: it never enters
-    ``repro.parallel``'s dispatch, at ``parallel=0`` or at
-    ``parallel=2``, even with the pool gate forced open."""
+    ``repro.parallel``'s dispatch, even with the pool gate forced
+    open."""
 
-    @pytest.mark.parametrize("engine,parallel", [
-        *((engine, 0) for engine in SOLVER_ENGINES),
-        *((engine, 2) for engine in PARALLEL_ENGINES)])
+    # The ids keep the worker count the solver runs at: always 0.
+    @pytest.mark.parametrize("engine", SOLVER_ENGINES,
+                             ids=[f"{e}-0" for e in SOLVER_ENGINES])
     def test_serial_solves_never_reach_the_dispatcher(
-            self, engine, parallel, monkeypatch):
+            self, engine, monkeypatch):
         def no_dispatch(*_args, **_kwargs):
             raise AssertionError("a serial solve reached the dispatcher")
 
@@ -283,8 +278,7 @@ class TestSerialPath:
         monkeypatch.setattr(engine_module, "MIN_POOL_TASKS", 0)
         monkeypatch.setattr(engine_module, "MIN_POOL_WORK", 0)
         graph = random_graph(7)
-        solver = DynamicSolver(graph, tau=1, engine=engine,
-                               parallel=parallel)
+        solver = DynamicSolver(graph, tau=1, engine=engine)
         tracer = get_tracer(True)
         for edit in random_edits(graph, 12, seed=3):
             apply_edit(solver, edit)

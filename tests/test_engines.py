@@ -15,10 +15,8 @@ same lowest-id tie-breaks, so *their* witnesses are compared exactly.
 A second group pins the kernel primitives themselves against their
 set-based reference implementations on random dichromatic graphs, and
 a third does the same for the vectorised numpy kernels against the
-bitset primitives.  The engine axis is taken from the backend registry
-(:data:`repro.kernels.ENGINE_REGISTRY` via
-``tests.conftest.SOLVER_ENGINES``), so a new backend joins every
-matrix by registering itself.
+bitset primitives.  The engine axis is the usable subset of
+:data:`repro.kernels.ENGINES` (``tests.conftest.SOLVER_ENGINES``).
 """
 
 import random
@@ -40,8 +38,7 @@ from repro.dichromatic.graph import DichromaticGraph
 from repro.dichromatic.mdc import solve_mdc
 from repro.dynamic import DynamicSolver
 from repro.dynamic.script import apply_edit, random_edits
-from repro.kernels import ENGINE_REGISTRY, ENGINES, EngineSpec, \
-    available_engines, engine_spec, npmask, register_engine, \
+from repro.kernels import ENGINES, available_engines, npmask, \
     validate_engine
 from repro.kernels.active import bicore_active_mask, \
     coloring_upper_bound_active_mask, degeneracy_ordering_mask, \
@@ -123,49 +120,50 @@ class TestMbcStarDifferential:
 
 
 class TestEngineRegistry:
-    """The backend registry behind the ``engine=`` seam."""
+    """The engine names and checks behind the ``engine=`` seam."""
 
     def test_engines_tuple_mirrors_registry(self):
-        assert ENGINES == tuple(ENGINE_REGISTRY)
+        assert ENGINES == ("set", "bitset", "numpy")
         assert set(available_engines()) <= set(ENGINES)
         # set and bitset have no runtime requirement — always usable.
         assert {"set", "bitset"} <= set(available_engines())
 
     def test_capability_descriptors(self):
-        assert not engine_spec("set").supports_parallel
-        assert engine_spec("bitset").supports_parallel
-        assert engine_spec("numpy").supports_parallel
-        # The optional backend must name its requirement for the
-        # unavailable-engine error message.
-        assert engine_spec("numpy").requirement
+        # Only the set engine is serial-only; both mask engines may fan
+        # out (numpy when it imports).
+        for engine in available_engines():
+            if engine != "set":
+                assert validate_engine(engine, workers=2) == engine
+        with pytest.raises(ValueError, match="serial-only"):
+            validate_engine("set", workers=2)
 
     def test_unknown_engine_lookup_raises(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            engine_spec("bitmap")
+        with pytest.raises(ValueError) as caught:
+            validate_engine("bitmap")
+        assert str(caught.value) == (
+            "unknown engine 'bitmap'; expected one of "
+            "('set', 'bitset', 'numpy')")
 
-    def test_numpy_availability_follows_probe(self):
-        assert engine_spec("numpy").available() == npmask.HAVE_NUMPY
+    def test_numpy_availability_follows_probe(self, monkeypatch):
+        assert ("numpy" in available_engines()) == npmask.HAVE_NUMPY
+        monkeypatch.setattr(npmask, "HAVE_NUMPY", False)
+        assert available_engines() == ("set", "bitset")
 
-    def test_unavailable_engine_error_names_requirement(self):
-        stub = register_engine(EngineSpec(
-            name="stub-backend",
-            description="always-unavailable test backend",
-            representation="-",
-            supports_parallel=False,
-            probe=lambda: False,
-            requirement="the stub runtime"))
-        try:
-            assert not stub.available()
-            with pytest.raises(ValueError,
-                               match="requires the stub runtime"):
-                validate_engine("stub-backend")
-        finally:
-            del ENGINE_REGISTRY["stub-backend"]
+    def test_unavailable_engine_error_names_requirement(self, monkeypatch):
+        monkeypatch.setattr(npmask, "HAVE_NUMPY", False)
+        with pytest.raises(ValueError) as caught:
+            validate_engine("numpy")
+        assert str(caught.value) == (
+            "engine 'numpy' is not available in this environment; "
+            "it requires numpy (pip install repro[numpy])")
 
     def test_serial_only_engine_rejected_for_fanout(self):
         graph = random_signed_graph(1)
-        with pytest.raises(ValueError, match="serial-only"):
+        with pytest.raises(ValueError) as caught:
             mbc_star(graph, 1, engine="set", parallel=2)
+        assert str(caught.value) == (
+            "parallel execution requires an engine with parallel "
+            "support; engine 'set' is serial-only")
 
 
 class TestPfDifferential:

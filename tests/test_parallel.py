@@ -31,7 +31,8 @@ from repro.core.reductions import degrees_inside, polar_core_numbers, \
 from repro.core.result import BalancedClique
 from repro.core.stats import SearchStats
 from repro.datasets.registry import load
-from repro.kernels.active import degeneracy_ordering_array, k_core_array
+from repro.kernels.active import degeneracy_ordering_array, k_core_array, \
+    suffix_masks
 from repro.kernels.bitset import mask_of, mask_stride, masks_from_bytes, \
     masks_to_bytes
 from repro.obs import get_tracer
@@ -40,7 +41,7 @@ from repro.parallel import engine as engine_module
 from repro.parallel.engine import pool_pays, resolve_workers
 from repro.parallel.incumbent import SharedIncumbent
 from repro.parallel.tasks import EgoTask, chunk_vertices, cost_ordered, \
-    is_viable, peel_costs, plan_tasks, planned_later, suffix_masks
+    is_viable, peel_costs, plan_tasks, planned_later
 from repro.parallel.worker import WorkerContext
 from repro.signed.graph import SignedGraph
 

@@ -3,8 +3,8 @@
 The strongest correctness statement the repo can make: on a seeded
 family of ~200 small random signed graphs, the optimized solvers, the
 enumeration baseline, and the exponential brute-force oracle must all
-agree on every optimum — across every available kernel engine from the
-backend registry (set, bitset, and numpy when installed), across
+agree on every optimum — across every available kernel engine
+(set, bitset, and numpy when installed), across
 worker counts, and with tracing on or off (observability must never
 perturb a result).
 
@@ -107,6 +107,14 @@ def core_orders(graph: SignedGraph, alive: int,
     assert core == bits_of(core_mask)
     return (degeneracy_ordering_mask(unsigned, core_mask),
             degeneracy_ordering_array(offsets, targets, core, degree))
+
+
+def whole_graph_mask_order(graph: SignedGraph) -> "list[int]":
+    """The degeneracy order of all of ``graph`` from the OR-ed masks,
+    the way the dynamic solver ordered before it took MBC*'s peel."""
+    unsigned = [p | q for p, q in zip(graph.pos_adjacency_bits(),
+                                      graph.neg_adjacency_bits())]
+    return degeneracy_ordering_mask(unsigned, graph.all_bits())
 
 
 def assert_valid(clique: BalancedClique, graph: SignedGraph,
@@ -360,6 +368,24 @@ class TestOrderingRegression:
                     graph, graph.all_bits(), k)
                 assert array_order == mask_order, (seed, k)
 
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_dynamic_order_equals_mask_order_on_stand_ins(self, name):
+        graph = load(name, scale=1.0)
+        assert DynamicSolver(graph, 3)._order == \
+            whole_graph_mask_order(graph)
+
+    @pytest.mark.parametrize(
+        "seed", range(BASE_SEED, BASE_SEED + SWEEP, 10))
+    def test_dynamic_order_equals_mask_order_on_seeded_graphs(self, seed):
+        for graph in (random_graph(seed), larger_graph(seed)):
+            solver = DynamicSolver(graph, 3)
+            assert solver._order == whole_graph_mask_order(graph), seed
+            # A direct edit forces a rebuild, which reorders the
+            # edited graph from a fresh neighbour array.
+            graph.isolate_vertex(seed % graph.num_vertices)
+            solver.solve()
+            assert solver._order == whole_graph_mask_order(graph), seed
+
 
 class TestEgoPeelDifferential:
     """The bitset ego steps decide core prunes on the global masks
@@ -379,8 +405,9 @@ class TestDynamicDifferential:
 
     After *every* edit the dynamic solver's cached-bound answer must
     equal a from-scratch full solve of the live graph — optimum size,
-    witness validity, and ``beta(G)`` — across every engine, and at
-    ``workers = 2`` on a subsample.  This is the streaming analogue of
+    witness validity, and ``beta(G)`` — across every engine, and a
+    full solve at ``parallel=2`` on a subsample (the dynamic solver
+    itself is always serial).  This is the streaming analogue of
     the static differential sweep above, and the direct check that
     dirty-ego invalidation never reuses a stale certified bound.
     """
@@ -388,32 +415,33 @@ class TestDynamicDifferential:
     EDITS = 10
 
     def _check_step(self, solver: DynamicSolver, engine: str,
-                    context: str) -> None:
+                    workers: int, context: str) -> None:
         graph = solver.graph
         result = solver.solve()
-        full = mbc_star(graph, solver.tau, engine=engine)
+        full = mbc_star(graph, solver.tau, engine=engine,
+                        parallel=workers)
         assert result.clique.size == full.size, (
             f"{context}: incremental {result.clique.size} "
             f"!= full {full.size}")
         assert result.optimal
         assert_valid(result.clique, graph, solver.tau)
-        assert solver.beta() == pf_star(graph, engine=engine), (
+        assert solver.beta() == pf_star(
+            graph, engine=engine, parallel=workers), (
             f"{context}: beta mismatch")
 
     def _run_script(self, seed: int, engine: str,
                     workers: int) -> None:
         graph = random_graph(seed)
         tau = max(1, seed % 3)
-        solver = DynamicSolver(graph, tau, engine=engine,
-                               parallel=workers)
+        solver = DynamicSolver(graph, tau, engine=engine)
         context = f"seed={seed} engine={engine} workers={workers}"
-        self._check_step(solver, engine, f"{context} step=0")
+        self._check_step(solver, engine, workers, f"{context} step=0")
         for step, edit in enumerate(
                 random_edits(graph, self.EDITS, seed=seed + 1),
                 start=1):
             apply_edit(solver, edit)
             self._check_step(
-                solver, engine,
+                solver, engine, workers,
                 f"{context} step={step} edit={edit.as_line()!r}")
 
     @pytest.mark.parametrize(
