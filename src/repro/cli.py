@@ -246,12 +246,23 @@ def _report_trace(args: argparse.Namespace,
         print(render_tree(tracer))
 
 
+def _require_star_for_workers(args: argparse.Namespace,
+                              serial: str) -> None:
+    """Refuse ``--workers N`` (N != 1) for an algorithm that has no
+    fan-out, rather than ignore it."""
+    if args.workers != 1 and args.algorithm != "star":
+        raise ValueError(
+            f"--workers requires --algorithm star ({serial} always "
+            f"runs serial)")
+
+
 def _cmd_mbc(args: argparse.Namespace) -> int:
     budget = _build_budget(args)
     if budget is not None and args.algorithm != "star":
         raise ValueError(
             "--timeout/--max-nodes require --algorithm star (the "
             "baseline enumerator has no anytime contract)")
+    _require_star_for_workers(args, "the baseline enumerator")
     graph = _load_graph(args.graph)
     stats = SearchStats()
     tracer = _install_cli_tracer(args)
@@ -279,6 +290,7 @@ def _cmd_mbc(args: argparse.Namespace) -> int:
 
 def _cmd_pf(args: argparse.Namespace) -> int:
     budget = _build_budget(args)
+    _require_star_for_workers(args, f"{args.algorithm} PF")
     graph = _load_graph(args.graph)
     tracer = _install_cli_tracer(args)
     started = time.perf_counter()

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
+import threading
 from array import array
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -49,20 +50,36 @@ __all__ = ["SignedGraph", "POSITIVE", "NEGATIVE"]
 _SIGNS = frozenset((POSITIVE, NEGATIVE))
 
 
-def _edge_token(u: int, v: int, sign: int) -> int:
-    """256-bit hash token of a single signed edge (endpoint order free).
+#: ``S_u`` is a sum of 256-bit keys taken mod ``2**256``.
+_ROW_MASK = (1 << 256) - 1
 
-    The incremental fingerprint accumulator XORs one token per edge, so
-    inserting and removing the same edge cancel exactly and the
-    accumulator never depends on edit order.  XOR-of-hashes is a
-    standard multiset hash; it is collision-resistant for the
-    non-adversarial cache-keying done here, not against attackers who
-    can choose edges.
-    """
-    if u > v:
-        u, v = v, u
-    return int.from_bytes(
-        hashlib.sha256(b"%d,%d,%d" % (u, v, sign)).digest(), "big")
+# The fingerprint's neighbour keys, ``K(2v)`` in ``_KEYS[0][v]`` and
+# ``K(2v + 1)`` in ``_KEYS[1][v]`` (code ``2v + 1`` is a negative
+# neighbour).  Each key is a pure function of its code, so one table
+# serves every graph in the process.  It only grows, by appends made
+# under ``_KEYS_LOCK`` (the serve loop thread and pool threads
+# fingerprint concurrently), and a reader indexes it only below a
+# length it has already seen.
+_KEYS: tuple[list[int], list[int]] = ([], [])
+_KEYS_LOCK = threading.Lock()
+
+
+def _neighbor_keys(n: int) -> tuple[list[int], list[int]]:
+    """The key tables, grown to cover vertices ``0..n-1``."""
+    if len(_KEYS[1]) < n:
+        with _KEYS_LOCK:
+            for code in range(2 * len(_KEYS[1]), 2 * n):
+                _KEYS[code & 1].append(int.from_bytes(hashlib.sha256(
+                    b"repro.signed.fingerprint/key/%d" % code).digest(),
+                    "big"))
+    return _KEYS
+
+
+def _row_token(u: int, row_sum: int) -> int:
+    """SHA-256 of row ``u``: ``u`` as 8 big-endian bytes, then its key
+    sum as 32."""
+    return int.from_bytes(hashlib.sha256(
+        ((u << 256) | row_sum).to_bytes(40, "big")).digest(), "big")
 
 
 class SignedGraph:
@@ -92,14 +109,23 @@ class SignedGraph:
         self._neighbor_array: "tuple[array[int], array[int]] | None" = \
             None
         self._fingerprint: str | None = None
-        # XOR accumulator of per-edge hash tokens.  ``None`` means "not
-        # primed": mutators skip it entirely, so bulk construction and
-        # the reductions' peeling loops pay nothing.  The first
-        # ``fingerprint()`` call primes it with one full edge scan;
-        # after that every mutation maintains it in O(1) hashes, which
-        # is what makes fingerprint-keyed caching viable on streaming
-        # graphs (see ``repro.dynamic``).
-        self._edge_acc: int | None = None
+        # The fingerprint's rows (see ``fingerprint()``): per vertex
+        # ``u`` the key sum ``S_u`` and count of its neighbours above
+        # ``u``, its row token (0 for an empty row), the XOR of all
+        # tokens, and the rows edited since their token was hashed.
+        # ``None`` means "not primed": mutators skip the rows
+        # entirely, so bulk construction and the reductions' peeling
+        # loops pay nothing.  The first ``fingerprint()`` call primes
+        # them with one SHA-256 per non-empty row; after that an edge
+        # edit changes one row's sum, and the next ``fingerprint()``
+        # re-hashes each edited row once, which is what makes
+        # fingerprint-keyed caching viable on streaming graphs (see
+        # ``repro.dynamic``).
+        self._row_sums: list[int] | None = None
+        self._row_sizes: list[int] = []
+        self._row_tokens: list[int] = []
+        self._row_acc = 0
+        self._stale_rows: set[int] = set()
         self._labels: list[str] | None = None
         if labels is not None:
             if len(labels) != n:
@@ -325,8 +351,8 @@ class SignedGraph:
 
     def _link(self, u: int, v: int, sign: int) -> None:
         """Join ``u`` and ``v`` with ``sign``: adjacency, counter,
-        fingerprint accumulator and (built) masks.  Drops the CSR
-        array and the fingerprint digest."""
+        fingerprint rows and (built) masks.  Drops the CSR array and
+        the fingerprint digest."""
         if sign == POSITIVE:
             adjacency, masks = self._pos, self._pos_bits
             self._pos_edges += 1
@@ -338,8 +364,7 @@ class SignedGraph:
         if masks is not None:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        if self._edge_acc is not None:
-            self._edge_acc ^= _edge_token(u, v, sign)
+        self._edit_row(u, v, sign, 1)
         self._neighbor_array = None
         self._fingerprint = None
 
@@ -359,11 +384,25 @@ class SignedGraph:
         if masks is not None:
             masks[u] &= ~(1 << v)
             masks[v] &= ~(1 << u)
-        if self._edge_acc is not None:
-            self._edge_acc ^= _edge_token(u, v, sign)
+        self._edit_row(u, v, sign, -1)
         self._neighbor_array = None
         self._fingerprint = None
         return sign
+
+    def _edit_row(self, u: int, v: int, sign: int, step: int) -> None:
+        """Add (``step`` 1) or take away (-1) the key of edge
+        ``(u, v, sign)`` in the row of its lower endpoint, and mark
+        that row's token stale.  Does nothing while the rows are
+        unprimed."""
+        sums = self._row_sums
+        if sums is None:
+            return
+        if u > v:
+            u, v = v, u
+        keys = _neighbor_keys(v + 1)[sign == NEGATIVE]
+        sums[u] = (sums[u] + step * keys[v]) & _ROW_MASK
+        self._row_sizes[u] += step
+        self._stale_rows.add(u)
 
     def pos_degree(self, v: int) -> int:
         """``d+(v)``."""
@@ -406,6 +445,10 @@ class SignedGraph:
         """Append a vertex; returns its id."""
         self._pos.append(set())
         self._neg.append(set())
+        if self._row_sums is not None:
+            self._row_sums.append(0)
+            self._row_sizes.append(0)
+            self._row_tokens.append(0)
         self._invalidate_bits()
         if self._labels is not None:
             self._labels.append(label if label is not None
@@ -480,11 +523,11 @@ class SignedGraph:
         cached masks, like :meth:`add_vertex`.
         """
         self._check_ids(v)
-        if self._edge_acc is not None:
-            for u in self._pos[v]:
-                self._edge_acc ^= _edge_token(u, v, POSITIVE)
-            for u in self._neg[v]:
-                self._edge_acc ^= _edge_token(u, v, NEGATIVE)
+        if self._row_sums is not None:
+            for sign, family in ((POSITIVE, self._pos),
+                                 (NEGATIVE, self._neg)):
+                for u in family[v]:
+                    self._edit_row(u, v, sign, -1)
         for u in self._pos[v]:
             self._pos[u].discard(v)
         for u in self._neg[v]:
@@ -536,37 +579,71 @@ class SignedGraph:
     def fingerprint(self) -> str:
         """Stable content hash of ``(n, signed edge set)``.
 
-        SHA-256 over the vertex count plus an XOR accumulator of
-        per-edge hash tokens (:func:`_edge_token`).  Two graphs get the
-        same fingerprint iff they have the same vertex count and edge
-        set — labels and construction order do not matter.  This is the
-        cache key for result caching / memoization; cached per instance
-        and invalidated by every mutation.
+        Each signed neighbour code ``c = 2v + (sign is negative)`` has
+        a 256-bit key ``K(c)``, the SHA-256 of
+        ``b"repro.signed.fingerprint/key/%d" % c``, computed once per
+        process.  Row ``u`` sums the keys of its neighbours ``v > u``
+        mod ``2**256`` (``S_u``; each edge counts once, under its lower
+        endpoint).  A non-empty row's token is the SHA-256 of ``u`` as
+        8 big-endian bytes followed by ``S_u`` as 32, and the
+        fingerprint is the SHA-256 of ``"n={n};rows={acc:064x}"``,
+        where ``acc`` is the XOR of the row tokens.  Labels and
+        construction order do not matter.  This is the cache key for
+        result caching / memoization; cached per instance and
+        invalidated by every mutation.
 
-        The first call primes the accumulator with one full edge scan;
-        every subsequent mutation maintains it with O(1) hash updates
-        (O(deg) for :meth:`isolate_vertex`), so re-fingerprinting after
-        an edit costs one SHA-256 rather than an edge-list sort.  The
-        incremental path is what :class:`repro.dynamic.DynamicSolver`
-        keys its per-ego result cache on; ``tests/test_signed_graph.py``
-        asserts it always equals a from-scratch recomputation.
+        The row sums are an additive multiset hash (AdHash, Bellare
+        and Micciancio, EUROCRYPT 1997): for edges chosen
+        independently of the keys, two different rows collide with
+        probability ``2**-256``.  So the fingerprint is safe as a key
+        for non-adversarial caching, not against clients who choose
+        edges to collide.
+
+        The first call primes the rows: one SHA-256 per non-empty row
+        and one key addition per edge.  After that an edge edit adds
+        or subtracts one key in one row (a flip does both in the same
+        row; :meth:`isolate_vertex` edits up to ``deg + 1`` rows), and
+        the next call re-hashes each edited row once, so
+        re-fingerprinting after an edit costs two SHA-256 calls (the
+        row and the digest) rather than a re-scan.  :meth:`copy` and
+        :meth:`subgraph` return unprimed graphs.  The incremental
+        path is what :class:`repro.dynamic.DynamicSolver` keys its
+        per-ego result cache on; ``tests/test_signed_graph.py`` asserts
+        it always equals a from-scratch recomputation.
         """
         if self._fingerprint is None:
-            if self._edge_acc is None:
-                acc = 0
-                for sign, family in ((POSITIVE, self._pos),
-                                     (NEGATIVE, self._neg)):
-                    for u, adjacency in enumerate(family):
-                        for v in adjacency:
-                            if u < v:
-                                acc ^= _edge_token(u, v, sign)
-                self._edge_acc = acc
-            digest = hashlib.sha256()
-            digest.update(
-                f"n={self.num_vertices};edges={self._edge_acc:064x}"
-                .encode())
-            self._fingerprint = digest.hexdigest()
+            sums = self._row_sums
+            if sums is None:
+                self._prime_rows()
+            else:
+                tokens = self._row_tokens
+                for u in self._stale_rows:
+                    token = _row_token(u, sums[u]) \
+                        if self._row_sizes[u] else 0
+                    self._row_acc ^= tokens[u] ^ token
+                    tokens[u] = token
+                self._stale_rows.clear()
+            self._fingerprint = hashlib.sha256(
+                f"n={self.num_vertices};rows={self._row_acc:064x}"
+                .encode()).hexdigest()
         return self._fingerprint
+
+    def _prime_rows(self) -> None:
+        """Build the fingerprint's rows from the adjacency sets."""
+        n = self.num_vertices
+        pos_keys, neg_keys = _neighbor_keys(n)
+        sums, sizes, tokens = [0] * n, [0] * n, [0] * n
+        acc = 0
+        for u, pos, neg in zip(range(n), self._pos, self._neg):
+            row = [pos_keys[v] for v in pos if v > u]
+            row += [neg_keys[v] for v in neg if v > u]
+            if row:
+                sums[u] = sum(row) & _ROW_MASK
+                sizes[u] = len(row)
+                tokens[u] = _row_token(u, sums[u])
+                acc ^= tokens[u]
+        self._row_sums, self._row_sizes = sums, sizes
+        self._row_tokens, self._row_acc = tokens, acc
 
     def validate(self) -> None:
         """Check structural invariants; raises ``AssertionError`` on breakage.

@@ -91,6 +91,35 @@ class TestCommands:
         assert main(["gmbc", graph_file, "--workers", "2"]) == 0
         assert "tau=  3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["mbc", "--algorithm", "baseline", "--workers", "2"],
+        ["mbc", "--algorithm", "baseline", "--workers", "0"],
+        ["pf", "--algorithm", "binary-search", "--workers", "2"],
+        ["pf", "--algorithm", "enumeration", "--workers", "4"],
+    ])
+    def test_serial_algorithms_refuse_workers(self, graph_file, capsys,
+                                              argv):
+        # Only --algorithm star fans out; a pool knob the solver would
+        # ignore is refused, as --timeout is for the baseline.
+        assert main([argv[0], graph_file, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert "--algorithm star" in captured.err
+        assert captured.out == ""
+
+    def test_serial_algorithms_take_one_worker(self, graph_file, capsys):
+        assert main(["mbc", graph_file, "--algorithm", "baseline",
+                     "--workers", "1"]) == 0
+        assert "|C|=6" in capsys.readouterr().out
+        assert main(["pf", graph_file, "--algorithm", "binary-search",
+                     "--workers", "1"]) == 0
+        assert "beta(G) = 3" in capsys.readouterr().out
+
+    def test_gmbc_naive_keeps_workers(self, graph_file, capsys):
+        # The naive gMBC forwards --workers to its own fan-out.
+        assert main(["gmbc", graph_file, "--algorithm", "naive",
+                     "--workers", "2"]) == 0
+        assert "tau=  3" in capsys.readouterr().out
+
     def test_stats(self, graph_file, capsys):
         assert main(["stats", graph_file]) == 0
         out = capsys.readouterr().out

@@ -329,8 +329,32 @@ class TestFingerprint:
         flipped = SignedGraph.from_signed_edges(3, [(0, 1, -1)])
         extra = SignedGraph.from_signed_edges(3, [(0, 1, 1), (1, 2, 1)])
         bigger = SignedGraph.from_signed_edges(4, [(0, 1, 1)])
-        prints = {g.fingerprint() for g in (base, flipped, extra, bigger)}
-        assert len(prints) == 4
+        # The fingerprint hashes one key sum per row (a vertex's
+        # neighbours above it), so the cases below keep what a per-row
+        # sum could confuse: every vertex's degree, every row's size,
+        # or a row's multiset of signs.  Upper rows of ``rows``:
+        # 0: {1+, 4-}, 1: {5+}, 2: {3+}, 3: {5-}.
+        rows = [(0, 1, 1), (0, 4, -1), (2, 3, 1), (1, 5, 1), (3, 5, -1)]
+        # (0, 1) and (2, 3) become (0, 3) and (1, 2): degrees kept.
+        double_swap = [(0, 3, 1), (0, 4, -1), (1, 2, 1), (1, 5, 1),
+                       (3, 5, -1)]
+        # Row 0 keeps its neighbours and its signs, exchanged.
+        sign_swap = [(0, 1, -1), (0, 4, 1), (2, 3, 1), (1, 5, 1),
+                     (3, 5, -1)]
+        # Every row keeps its size: row 0 trades 1 for 2, and rows
+        # 1 and 2 trade their contents.
+        same_sizes = [(0, 2, 1), (0, 4, -1), (2, 3, 1), (1, 5, 1),
+                      (3, 5, -1)]
+        rows_traded = [(0, 1, 1), (0, 4, -1), (1, 3, 1), (2, 5, 1),
+                       (3, 5, -1)]
+        graphs = [base, flipped, extra, bigger] + [
+            SignedGraph.from_signed_edges(6, edges)
+            for edges in (rows, double_swap, sign_swap, same_sizes,
+                          rows_traded)]
+        degrees = [graphs[4].degree(v) for v in range(6)]
+        assert [graphs[5].degree(v) for v in range(6)] == degrees
+        prints = {g.fingerprint() for g in graphs}
+        assert len(prints) == len(graphs)
 
     def test_mutation_invalidates_cache(self):
         graph = SignedGraph.from_signed_edges(3, [(0, 1, 1)])
@@ -397,6 +421,71 @@ class TestIncrementalFingerprint:
             else:
                 graph.flip_sign(u, v)
             assert graph.fingerprint() == self._recomputed(graph)
+
+    def test_vertex_edits_match_recompute(self):
+        graph = SignedGraph.from_signed_edges(
+            5, [(0, 2, 1), (1, 2, -1), (2, 3, 1), (2, 4, -1), (0, 4, 1)])
+        graph.fingerprint()
+        graph.isolate_vertex(2)
+        assert graph.fingerprint() == self._recomputed(graph)
+        graph.add_vertex()
+        graph.add_edge(5, 1, NEGATIVE)
+        graph.add_edge(2, 5, POSITIVE)
+        assert graph.fingerprint() == self._recomputed(graph)
+        graph.isolate_vertex(5)
+        assert graph.fingerprint() == self._recomputed(graph)
+
+    def test_concurrent_key_growth_matches_serial(self, monkeypatch):
+        """Threads prime graphs of increasing ``n`` at once on an
+        empty key table, so it grows under contention; every digest
+        and every key must equal the single-threaded ones."""
+        import random as _random
+        import sys
+        import threading
+
+        from repro.signed import graph as graph_module
+
+        def chain(n, seed):
+            rng = _random.Random(seed)
+            return SignedGraph.from_signed_edges(
+                n, [(v, v + 1, rng.choice((POSITIVE, NEGATIVE)))
+                    for v in range(n - 1)]
+                + [(0, n - 1, NEGATIVE)])
+
+        threads_n, per_thread = 8, 6
+        graphs = [[chain(40 + 60 * (i + threads_n * t), t * 100 + i)
+                   for i in range(per_thread)]
+                  for t in range(threads_n)]
+        expected = [[g.copy().fingerprint() for g in row]
+                    for row in graphs]
+        serial_keys = graph_module._neighbor_keys(
+            max(g.num_vertices for row in graphs for g in row))
+        serial_keys = tuple(list(keys) for keys in serial_keys)
+        monkeypatch.setattr(graph_module, "_KEYS", ([], []))
+        barrier = threading.Barrier(threads_n)
+        results = [None] * threads_n
+
+        def prime(t):
+            barrier.wait(timeout=30)
+            results[t] = [g.fingerprint() for g in graphs[t]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=prime, args=(t,))
+                       for t in range(threads_n)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == expected
+        grown = graph_module._KEYS
+        assert len(grown[0]) == len(grown[1])
+        assert tuple(keys[:len(grown[1])] for keys in serial_keys) \
+            == grown
 
     def test_remove_then_readd_restores_fingerprint(self):
         graph = SignedGraph.from_signed_edges(

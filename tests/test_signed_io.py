@@ -166,13 +166,26 @@ def _reference_read(text):
 
 
 def _reference_fingerprint(graph):
-    """The fingerprint written out from its definition: SHA-256 over
-    ``n`` and the XOR of one SHA-256 token per ``"u,v,sign"`` edge."""
-    acc = 0
+    """The fingerprint written out from its definition: a key per
+    signed neighbour code ``2v + (sign is negative)``, per vertex the
+    sum of its upper neighbours' keys mod 2**256, one SHA-256 token per
+    non-empty row over the vertex (8 bytes) and its sum (32 bytes), and
+    SHA-256 over ``n`` and the XOR of the tokens."""
+    def key(code):
+        digest = hashlib.sha256(
+            f"repro.signed.fingerprint/key/{code}".encode()).digest()
+        return int.from_bytes(digest, "big")
+
+    rows = {}
     for u, v, sign in graph.edges():
-        token = hashlib.sha256(f"{u},{v},{sign}".encode()).digest()
-        acc ^= int.from_bytes(token, "big")
-    payload = f"n={graph.num_vertices};edges={acc:064x}"
+        low, high = min(u, v), max(u, v)
+        code = 2 * high + (1 if sign == NEGATIVE else 0)
+        rows[low] = (rows.get(low, 0) + key(code)) % 2**256
+    acc = 0
+    for u, row_sum in rows.items():
+        payload = u.to_bytes(8, "big") + row_sum.to_bytes(32, "big")
+        acc ^= int.from_bytes(hashlib.sha256(payload).digest(), "big")
+    payload = f"n={graph.num_vertices};rows={acc:064x}"
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
