@@ -53,26 +53,55 @@ _SIGNS = frozenset((POSITIVE, NEGATIVE))
 #: ``S_u`` is a sum of 256-bit keys taken mod ``2**256``.
 _ROW_MASK = (1 << 256) - 1
 
+#: Vertices whose neighbour keys the process keeps: enough for every
+#: stand-in dataset (3,000 vertices at scale 1.0), so the table's size
+#: does not follow the largest graph a client sends.
+_SHARED_KEY_VERTICES = 4096
+
 # The fingerprint's neighbour keys, ``K(2v)`` in ``_KEYS[0][v]`` and
 # ``K(2v + 1)`` in ``_KEYS[1][v]`` (code ``2v + 1`` is a negative
-# neighbour).  Each key is a pure function of its code, so one table
-# serves every graph in the process.  It only grows, by appends made
-# under ``_KEYS_LOCK`` (the serve loop thread and pool threads
-# fingerprint concurrently), and a reader indexes it only below a
-# length it has already seen.
+# neighbour), for ``v`` below ``_SHARED_KEY_VERTICES``.  Each key is a
+# pure function of its code, so one table serves every graph in the
+# process.  It only grows, by appends made under ``_KEYS_LOCK`` (the
+# serve loop thread and pool threads fingerprint concurrently), and a
+# reader indexes it only below a length it has already seen.
 _KEYS: tuple[list[int], list[int]] = ([], [])
 _KEYS_LOCK = threading.Lock()
 
 
+def _key(code: int) -> int:
+    """``K(code)``, from its definition."""
+    return int.from_bytes(hashlib.sha256(
+        b"repro.signed.fingerprint/key/%d" % code).digest(), "big")
+
+
 def _neighbor_keys(n: int) -> tuple[list[int], list[int]]:
-    """The key tables, grown to cover vertices ``0..n-1``."""
-    if len(_KEYS[1]) < n:
+    """Key tables covering vertices ``0..n-1``: the shared table,
+    grown up to the cap, and past it fresh copies that extend it and
+    are freed with the caller's reference."""
+    shared = min(n, _SHARED_KEY_VERTICES)
+    if len(_KEYS[1]) < shared:
         with _KEYS_LOCK:
-            for code in range(2 * len(_KEYS[1]), 2 * n):
-                _KEYS[code & 1].append(int.from_bytes(hashlib.sha256(
-                    b"repro.signed.fingerprint/key/%d" % code).digest(),
-                    "big"))
-    return _KEYS
+            for code in range(2 * len(_KEYS[1]), 2 * shared):
+                _KEYS[code & 1].append(_key(code))
+    start = len(_KEYS[1])
+    if start >= n:
+        return _KEYS
+    pos, neg = _KEYS
+    return (pos[:start] + [_key(c) for c in range(2 * start, 2 * n, 2)],
+            neg[:start] + [_key(c) for c in range(2 * start + 1, 2 * n, 2)])
+
+
+def _neighbor_key(code: int) -> int:
+    """``K(code)`` for one edit: read from the shared table when its
+    vertex is below the cap, hashed afresh otherwise."""
+    v = code >> 1
+    keys = _KEYS[code & 1]
+    if v < len(keys):
+        return keys[v]
+    if v >= _SHARED_KEY_VERTICES:
+        return _key(code)
+    return _neighbor_keys(v + 1)[code & 1][v]
 
 
 def _row_token(u: int, row_sum: int) -> int:
@@ -108,24 +137,25 @@ class SignedGraph:
         self._neg_bits: list[int] | None = None
         self._neighbor_array: "tuple[array[int], array[int]] | None" = \
             None
-        self._fingerprint: str | None = None
+        # The last digest ``fingerprint()`` returned, with the
+        # ``(n, acc)`` it hashed: a pair it checks rather than trusts,
+        # so a digest computed on one thread while another edits can
+        # never outlive the state it names.
+        self._fingerprint: tuple[int, int, str] | None = None
         # The fingerprint's rows (see ``fingerprint()``): per vertex
-        # ``u`` the key sum ``S_u`` and count of its neighbours above
-        # ``u``, its row token (0 for an empty row), the XOR of all
-        # tokens, and the rows edited since their token was hashed.
-        # ``None`` means "not primed": mutators skip the rows
-        # entirely, so bulk construction and the reductions' peeling
-        # loops pay nothing.  The first ``fingerprint()`` call primes
-        # them with one SHA-256 per non-empty row; after that an edge
-        # edit changes one row's sum, and the next ``fingerprint()``
-        # re-hashes each edited row once, which is what makes
-        # fingerprint-keyed caching viable on streaming graphs (see
-        # ``repro.dynamic``).
+        # ``u`` the key sum ``S_u`` of its neighbours above ``u`` and
+        # its row token (0 for a zero sum), and ``acc``, the XOR of
+        # all tokens.  ``None`` means "not primed": mutators skip the
+        # rows entirely, so bulk construction and the reductions'
+        # peeling loops pay nothing.  The first ``fingerprint()`` call
+        # primes them with one SHA-256 per non-empty row; after that
+        # an edge edit changes one row's sum and re-hashes its token
+        # at once, so ``fingerprint()`` itself only reads, and
+        # fingerprint-keyed caching stays viable on streaming graphs
+        # (see ``repro.dynamic``).
         self._row_sums: list[int] | None = None
-        self._row_sizes: list[int] = []
         self._row_tokens: list[int] = []
         self._row_acc = 0
-        self._stale_rows: set[int] = set()
         self._labels: list[str] | None = None
         if labels is not None:
             if len(labels) != n:
@@ -336,7 +366,6 @@ class SignedGraph:
         self._pos_bits = None
         self._neg_bits = None
         self._neighbor_array = None
-        self._fingerprint = None
 
     def _check_ids(self, u: int, v: int | None = None) -> None:
         """Reject an out-of-range edge ``(u, v)`` (or vertex ``u``)
@@ -350,9 +379,9 @@ class SignedGraph:
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
 
     def _link(self, u: int, v: int, sign: int) -> None:
-        """Join ``u`` and ``v`` with ``sign``: adjacency, counter,
-        fingerprint rows and (built) masks.  Drops the CSR array and
-        the fingerprint digest."""
+        """Join ``u`` and ``v`` with ``sign``: adjacency, counter and
+        (built) masks.  Drops the CSR array; the caller edits the
+        fingerprint row (:meth:`_edit_row`)."""
         if sign == POSITIVE:
             adjacency, masks = self._pos, self._pos_bits
             self._pos_edges += 1
@@ -364,9 +393,7 @@ class SignedGraph:
         if masks is not None:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self._edit_row(u, v, sign, 1)
         self._neighbor_array = None
-        self._fingerprint = None
 
     def _unlink(self, u: int, v: int) -> int:
         """Delete edge ``(u, v)`` as :meth:`_link` adds one; returns
@@ -384,25 +411,33 @@ class SignedGraph:
         if masks is not None:
             masks[u] &= ~(1 << v)
             masks[v] &= ~(1 << u)
-        self._edit_row(u, v, sign, -1)
         self._neighbor_array = None
-        self._fingerprint = None
         return sign
 
-    def _edit_row(self, u: int, v: int, sign: int, step: int) -> None:
-        """Add (``step`` 1) or take away (-1) the key of edge
-        ``(u, v, sign)`` in the row of its lower endpoint, and mark
-        that row's token stale.  Does nothing while the rows are
-        unprimed."""
-        sums = self._row_sums
-        if sums is None:
+    def _edit_row(self, u: int, v: int, added: int | None,
+                  removed: int | None) -> None:
+        """In the row of the lower endpoint of ``(u, v)``, add the key
+        of the edge with sign ``added`` and take away the key of the
+        edge with sign ``removed`` (either may be ``None``), then
+        re-hash the row's token: one SHA-256, so a flip costs the same
+        as an insertion.  Does nothing while the rows are unprimed."""
+        if self._row_sums is None:
             return
         if u > v:
             u, v = v, u
-        keys = _neighbor_keys(v + 1)[sign == NEGATIVE]
-        sums[u] = (sums[u] + step * keys[v]) & _ROW_MASK
-        self._row_sizes[u] += step
-        self._stale_rows.add(u)
+        row = self._row_sums[u]
+        if added is not None:
+            row += _neighbor_key(2 * v + (added == NEGATIVE))
+        if removed is not None:
+            row -= _neighbor_key(2 * v + (removed == NEGATIVE))
+        self._set_row(u, row & _ROW_MASK)
+
+    def _set_row(self, u: int, row_sum: int) -> None:
+        """Store ``S_u`` and fold its new token into ``acc``."""
+        self._row_sums[u] = row_sum
+        token = _row_token(u, row_sum) if row_sum else 0
+        self._row_acc ^= self._row_tokens[u] ^ token
+        self._row_tokens[u] = token
 
     def pos_degree(self, v: int) -> int:
         """``d+(v)``."""
@@ -447,7 +482,6 @@ class SignedGraph:
         self._neg.append(set())
         if self._row_sums is not None:
             self._row_sums.append(0)
-            self._row_sizes.append(0)
             self._row_tokens.append(0)
         self._invalidate_bits()
         if self._labels is not None:
@@ -484,6 +518,7 @@ class SignedGraph:
         if v in target[u]:
             return False
         self._link(u, v, sign)
+        self._edit_row(u, v, sign, None)
         return True
 
     def remove_edge(self, u: int, v: int) -> int:
@@ -498,7 +533,9 @@ class SignedGraph:
             if no edge joins ``u`` and ``v``.
         """
         self._check_ids(u, v)
-        return self._unlink(u, v)
+        sign = self._unlink(u, v)
+        self._edit_row(u, v, None, sign)
+        return sign
 
     def flip_sign(self, u: int, v: int) -> int:
         """Toggle the sign of the existing edge ``(u, v)``; returns the
@@ -514,6 +551,7 @@ class SignedGraph:
         self._check_ids(u, v)
         sign = -self._unlink(u, v)
         self._link(u, v, sign)
+        self._edit_row(u, v, sign, -sign)
         return sign
 
     def isolate_vertex(self, v: int) -> None:
@@ -524,10 +562,14 @@ class SignedGraph:
         """
         self._check_ids(v)
         if self._row_sums is not None:
+            # Row ``v`` held every edge to a neighbour above ``v``;
+            # each neighbour below ``v`` loses one key from its row.
             for sign, family in ((POSITIVE, self._pos),
                                  (NEGATIVE, self._neg)):
                 for u in family[v]:
-                    self._edit_row(u, v, sign, -1)
+                    if u < v:
+                        self._edit_row(u, v, None, sign)
+            self._set_row(v, 0)
         for u in self._pos[v]:
             self._pos[u].discard(v)
         for u in self._neg[v]:
@@ -584,66 +626,66 @@ class SignedGraph:
         ``b"repro.signed.fingerprint/key/%d" % c``, computed once per
         process.  Row ``u`` sums the keys of its neighbours ``v > u``
         mod ``2**256`` (``S_u``; each edge counts once, under its lower
-        endpoint).  A non-empty row's token is the SHA-256 of ``u`` as
-        8 big-endian bytes followed by ``S_u`` as 32, and the
-        fingerprint is the SHA-256 of ``"n={n};rows={acc:064x}"``,
-        where ``acc`` is the XOR of the row tokens.  Labels and
-        construction order do not matter.  This is the cache key for
-        result caching / memoization; cached per instance and
-        invalidated by every mutation.
+        endpoint).  A row with a non-zero sum has the token SHA-256 of
+        ``u`` as 8 big-endian bytes followed by ``S_u`` as 32 (an empty
+        row's sum is 0 and has no token), and the fingerprint is the
+        SHA-256 of ``"n={n};rows={acc:064x}"``, where ``acc`` is the
+        XOR of the row tokens.  Labels and construction order do not
+        matter.  This is the cache key for result caching /
+        memoization.
 
         The row sums are an additive multiset hash (AdHash, Bellare
         and Micciancio, EUROCRYPT 1997): for edges chosen
         independently of the keys, two different rows collide with
-        probability ``2**-256``.  So the fingerprint is safe as a key
-        for non-adversarial caching, not against clients who choose
-        edges to collide.
+        probability ``2**-256``, as does a non-empty row with a zero
+        sum.  So the fingerprint is safe as a key for non-adversarial
+        caching, not against clients who choose edges to collide.
 
         The first call primes the rows: one SHA-256 per non-empty row
-        and one key addition per edge.  After that an edge edit adds
-        or subtracts one key in one row (a flip does both in the same
-        row; :meth:`isolate_vertex` edits up to ``deg + 1`` rows), and
-        the next call re-hashes each edited row once, so
-        re-fingerprinting after an edit costs two SHA-256 calls (the
-        row and the digest) rather than a re-scan.  :meth:`copy` and
+        and one key addition per edge.  After that an edge edit
+        (insertion, removal or flip) changes one row's sum and
+        re-hashes that row's token, one SHA-256;
+        :meth:`isolate_vertex` re-hashes one row per neighbour below
+        the vertex.  A call then hashes only ``n`` and ``acc``, once
+        per state: the digest is cached with the ``(n, acc)`` it
+        hashed.  This method writes no row state once the rows are
+        primed, so it may run on one thread while another edits.
+        Keys of vertices at or above ``_SHARED_KEY_VERTICES`` are not
+        kept: priming hashes them afresh, and an edit on such a
+        vertex costs one more SHA-256 per key.  :meth:`copy` and
         :meth:`subgraph` return unprimed graphs.  The incremental
         path is what :class:`repro.dynamic.DynamicSolver` keys its
         per-ego result cache on; ``tests/test_signed_graph.py`` asserts
         it always equals a from-scratch recomputation.
         """
-        if self._fingerprint is None:
-            sums = self._row_sums
-            if sums is None:
-                self._prime_rows()
-            else:
-                tokens = self._row_tokens
-                for u in self._stale_rows:
-                    token = _row_token(u, sums[u]) \
-                        if self._row_sizes[u] else 0
-                    self._row_acc ^= tokens[u] ^ token
-                    tokens[u] = token
-                self._stale_rows.clear()
-            self._fingerprint = hashlib.sha256(
-                f"n={self.num_vertices};rows={self._row_acc:064x}"
-                .encode()).hexdigest()
-        return self._fingerprint
+        if self._row_sums is None:
+            self._prime_rows()
+        n, acc = self.num_vertices, self._row_acc
+        cached = self._fingerprint
+        if cached is None or cached[0] != n or cached[1] != acc:
+            cached = n, acc, hashlib.sha256(
+                f"n={n};rows={acc:064x}".encode()).hexdigest()
+            self._fingerprint = cached
+        return cached[2]
 
     def _prime_rows(self) -> None:
         """Build the fingerprint's rows from the adjacency sets."""
         n = self.num_vertices
         pos_keys, neg_keys = _neighbor_keys(n)
-        sums, sizes, tokens = [0] * n, [0] * n, [0] * n
+        sums, tokens = [0] * n, [0] * n
         acc = 0
         for u, pos, neg in zip(range(n), self._pos, self._neg):
             row = [pos_keys[v] for v in pos if v > u]
             row += [neg_keys[v] for v in neg if v > u]
             if row:
                 sums[u] = sum(row) & _ROW_MASK
-                sizes[u] = len(row)
-                tokens[u] = _row_token(u, sums[u])
-                acc ^= tokens[u]
-        self._row_sums, self._row_sizes = sums, sizes
+                if sums[u]:
+                    tokens[u] = _row_token(u, sums[u])
+                    acc ^= tokens[u]
+        # ``_row_sums`` last: it is what tells the mutators the rows
+        # are primed.
         self._row_tokens, self._row_acc = tokens, acc
+        self._row_sums = sums
 
     def validate(self) -> None:
         """Check structural invariants; raises ``AssertionError`` on breakage.

@@ -487,6 +487,97 @@ class TestIncrementalFingerprint:
         assert tuple(keys[:len(grown[1])] for keys in serial_keys) \
             == grown
 
+    def test_reads_on_another_thread_during_edits(self):
+        """A thread that keeps calling ``fingerprint()`` while another
+        edits and reads it after each edit, as a dynamic solver does
+        (the daemon's ``GET /graphs`` beside an edit script), never
+        fails and leaves the graph's rows and cached digest equal to
+        a from-scratch recomputation."""
+        import random as _random
+        import sys
+        import threading
+
+        rng = _random.Random(7)
+        n = 60
+        graph = SignedGraph.from_signed_edges(
+            n, [(v, (v + 1) % n, POSITIVE) for v in range(n)])
+        graph.fingerprint()
+        done = threading.Event()
+        errors = []
+        seen = set()
+
+        def read():
+            try:
+                while not done.is_set():
+                    seen.add(graph.fingerprint())
+            except Exception as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            for _ in range(3000):
+                u, v = rng.sample(range(n), 2)
+                sign = graph.sign(u, v)
+                if sign is None:
+                    graph.add_edge(u, v, rng.choice((POSITIVE, NEGATIVE)))
+                elif rng.random() < 0.5:
+                    graph.flip_sign(u, v)
+                elif rng.random() < 0.05:
+                    graph.isolate_vertex(u)
+                else:
+                    graph.remove_edge(u, v)
+                graph.fingerprint()
+        finally:
+            done.set()
+            reader.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        assert errors == []
+        assert len(seen) > 1
+        assert graph.fingerprint() == self._recomputed(graph)
+
+    def test_keys_past_the_shared_cap_are_not_kept(self, monkeypatch):
+        """Vertices at or above ``_SHARED_KEY_VERTICES`` get their keys
+        hashed afresh: the shared table stops at the cap, and priming
+        and edits past it give the digests of an uncapped table."""
+        import random as _random
+
+        from repro.signed import graph as graph_module
+
+        rng = _random.Random(3)
+        n = 50
+        edges = {(u, v): rng.choice((POSITIVE, NEGATIVE))
+                 for u, v in (sorted(rng.sample(range(n), 2))
+                              for _ in range(150))}
+        graph = SignedGraph.from_signed_edges(
+            n, [(u, v, sign) for (u, v), sign in edges.items()])
+        edits = [tuple(rng.sample(range(n), 2)) for _ in range(40)]
+        uncapped = graph.copy()
+        expected = [uncapped.fingerprint()]
+        for u, v in edits:
+            if uncapped.has_edge(u, v):
+                uncapped.flip_sign(u, v)
+            else:
+                uncapped.add_edge(u, v, NEGATIVE)
+            expected.append(uncapped.fingerprint())
+
+        monkeypatch.setattr(graph_module, "_SHARED_KEY_VERTICES", 8)
+        monkeypatch.setattr(graph_module, "_KEYS", ([], []))
+        capped = graph.copy()
+        got = [capped.fingerprint()]
+        for u, v in edits:
+            if capped.has_edge(u, v):
+                capped.flip_sign(u, v)
+            else:
+                capped.add_edge(u, v, NEGATIVE)
+            got.append(capped.fingerprint())
+        assert got == expected
+        assert [len(keys) for keys in graph_module._KEYS] == [8, 8]
+        assert capped.fingerprint() == self._recomputed(capped)
+
     def test_remove_then_readd_restores_fingerprint(self):
         graph = SignedGraph.from_signed_edges(
             4, [(0, 1, 1), (1, 2, -1)])

@@ -169,8 +169,8 @@ def _reference_fingerprint(graph):
     """The fingerprint written out from its definition: a key per
     signed neighbour code ``2v + (sign is negative)``, per vertex the
     sum of its upper neighbours' keys mod 2**256, one SHA-256 token per
-    non-empty row over the vertex (8 bytes) and its sum (32 bytes), and
-    SHA-256 over ``n`` and the XOR of the tokens."""
+    row with a non-zero sum over the vertex (8 bytes) and its sum (32
+    bytes), and SHA-256 over ``n`` and the XOR of the tokens."""
     def key(code):
         digest = hashlib.sha256(
             f"repro.signed.fingerprint/key/{code}".encode()).digest()
@@ -183,6 +183,8 @@ def _reference_fingerprint(graph):
         rows[low] = (rows.get(low, 0) + key(code)) % 2**256
     acc = 0
     for u, row_sum in rows.items():
+        if not row_sum:
+            continue
         payload = u.to_bytes(8, "big") + row_sum.to_bytes(32, "big")
         acc ^= int.from_bytes(hashlib.sha256(payload).digest(), "big")
     payload = f"n={graph.num_vertices};rows={acc:064x}"
