@@ -9,7 +9,10 @@ swapping the sides (and one side may be empty).
 :func:`split_sides` recovers the split — it two-colours the *negative*
 subgraph of ``G[C]``; a balanced clique's negative edges form a complete
 bipartite graph, so a BFS two-colouring plus a full verification pass
-decides balance.
+decides balance.  It is the set-based reference: O(|C|²) ``sign()``
+probes.  :func:`split_sides_mask` decides the same question on the
+graph's signed bitmasks in O(|C|) big-int operations, for callers that
+re-check the same clique after every edit.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import Iterable
 
 from ..signed.graph import SignedGraph
 
-__all__ = ["split_sides", "is_balanced_clique", "is_clique"]
+__all__ = ["split_sides", "split_sides_mask", "is_balanced_clique",
+           "is_clique"]
 
 
 def is_clique(graph: SignedGraph, vertices: Iterable[int]) -> bool:
@@ -83,6 +87,42 @@ def split_sides(
                 return None
     left = {v for v in members if side[v] == side[members[0]]}
     right = member_set - left
+    return left, right
+
+
+def split_sides_mask(
+    graph: SignedGraph, members: int
+) -> tuple[int, int] | None:
+    """:func:`split_sides` on a vertex bitmask, read off the graph's
+    signed masks.
+
+    With ``f`` the smallest member, the only candidate split is
+    ``L = {f} ∪ (pos[f] & C)`` and ``R = neg[f] & C``; ``C`` is a
+    balanced clique iff every member ``v`` sees exactly its own side
+    (minus itself) positively and exactly the other side negatively.
+    That also gives ``L | R == C``: a member outside both would need a
+    negative edge to ``f``, or itself among its positive neighbours.
+    One ``&`` and compare per member and sign instead of a ``sign()``
+    probe per pair.  Returns ``(L, R)`` as bitmasks — the sides
+    :func:`split_sides` returns, ``L`` holding the smallest member —
+    or ``None`` exactly when it does.
+    """
+    if not members:
+        return 0, 0
+    pos = graph.pos_adjacency_bits()
+    neg = graph.neg_adjacency_bits()
+    low = members & -members
+    first = low.bit_length() - 1
+    left = low | (pos[first] & members)
+    right = neg[first] & members
+    rest = members
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        v = bit.bit_length() - 1
+        own, other = (left, right) if left & bit else (right, left)
+        if pos[v] & members != own ^ bit or neg[v] & members != other:
+            return None
     return left, right
 
 

@@ -59,11 +59,13 @@ solver's next edit, ``solve()`` or ``beta()`` and answered with a full
 
 from __future__ import annotations
 
+from ..core.balance import split_sides_mask
 from ..core.result import EMPTY_RESULT, BalancedClique, SolveResult
 from ..dichromatic.ego import (
     DCC_STEPS, MDC_STEPS, ego_adjacency, witness_members)
 from ..kernels import validate_engine
 from ..kernels.active import degeneracy_ordering_array, suffix_masks
+from ..kernels.bitset import iter_bits, mask_of
 from ..obs import current_tracer
 from ..resilience.budget import Budget, BudgetExceeded
 from ..signed.graph import SignedGraph
@@ -275,16 +277,22 @@ class DynamicSolver:
         The vertex set and the (static) order pin the anchor, so only
         cliqueness, balance, and (for the solve cache) the tau
         constraint can have been broken by edits; sides are recomputed
-        because a sign flip can re-split a still-balanced clique.
+        because a sign flip can re-split a still-balanced clique.  The
+        check is :func:`~repro.core.balance.split_sides_mask` on the
+        graph's signed masks, O(|C|) big-int operations (the set-based
+        :func:`~repro.core.balance.split_sides` it agrees with probes
+        all O(|C|²) pairs); unchanged sides return ``witness`` itself.
         """
-        try:
-            rebuilt = BalancedClique.from_vertices(
-                self._graph, witness.vertices)
-        except ValueError:
+        left, right = mask_of(witness.left), mask_of(witness.right)
+        sides = split_sides_mask(self._graph, left | right)
+        if sides is None:
             return None
-        if check_tau and not rebuilt.satisfies(self._tau):
+        if sides != (left, right):
+            witness = BalancedClique.from_sides(
+                set(iter_bits(sides[0])), set(iter_bits(sides[1])))
+        if check_tau and not witness.satisfies(self._tau):
             return None
-        return rebuilt
+        return witness
 
     def _later_counts(self, u: int) -> tuple[int, int]:
         """``u``'s positive and negative higher-ranked neighbour

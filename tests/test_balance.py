@@ -1,10 +1,16 @@
 """Tests for structural-balance checking and side splitting."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.balance import is_balanced_clique, is_clique, split_sides
+from repro.core.balance import (
+    is_balanced_clique, is_clique, split_sides, split_sides_mask)
 from repro.core.bruteforce import enumerate_balanced_cliques
+from repro.kernels.bitset import mask_of
 from repro.signed.graph import NEGATIVE, POSITIVE, SignedGraph
 
 from .conftest import signed_graphs
@@ -125,3 +131,81 @@ class TestAgainstBruteForce:
                     assert sign is not None
                     same = (u in left) == (v in left)
                     assert sign == (POSITIVE if same else NEGATIVE)
+
+
+#: The vertex subsets the mask differential draws, each from its own
+#: seeded signed graph.
+SUBSET_KINDS = ("single", "random", "unbalanced_triangle", "all_positive",
+                "planted", "planted_flipped", "planted_missing_edge")
+
+
+@st.composite
+def graphs_with_subsets(draw) -> tuple[SignedGraph, list[int], str]:
+    """A seeded random signed graph plus a vertex subset of one of
+    :data:`SUBSET_KINDS`; planted subsets have every pair's sign
+    overwritten before the graph is built."""
+    kind = draw(st.sampled_from(SUBSET_KINDS))
+    n = draw(st.integers(min_value=3, max_value=12))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    p_pos, p_neg = rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.4)
+    signs: dict[tuple[int, int], int] = {}
+    for pair in itertools.combinations(range(n), 2):
+        roll = rng.random()
+        if roll < p_pos:
+            signs[pair] = POSITIVE
+        elif roll < p_pos + p_neg:
+            signs[pair] = NEGATIVE
+    if kind == "single":
+        members = [rng.randrange(n)]
+    elif kind == "random":
+        members = rng.sample(range(n), rng.randint(0, n))
+    elif kind == "unbalanced_triangle":
+        members = rng.sample(range(n), 3)
+        # One or three negative edges: no two-sided split exists.
+        negatives = rng.choice((1, 3))
+        for i, pair in enumerate(itertools.combinations(sorted(members), 2)):
+            signs[pair] = NEGATIVE if i < negatives else POSITIVE
+    else:
+        smallest = 2 if kind == "planted_missing_edge" else 1
+        members = rng.sample(range(n), rng.randint(smallest, n))
+        left = set(members) if kind == "all_positive" else {
+            v for v in members if rng.random() < 0.5}
+        for pair in itertools.combinations(sorted(members), 2):
+            same = (pair[0] in left) == (pair[1] in left)
+            signs[pair] = POSITIVE if same else NEGATIVE
+        pairs = list(itertools.combinations(sorted(members), 2))
+        if pairs and kind == "planted_flipped":
+            for pair in rng.sample(pairs, rng.randint(1, len(pairs))):
+                signs[pair] = -signs[pair]
+        if kind == "planted_missing_edge":
+            del signs[rng.choice(pairs)]
+    graph = SignedGraph.from_signed_edges(
+        n, [(u, v, sign) for (u, v), sign in signs.items()])
+    return graph, members, kind
+
+
+class TestSplitSidesMask:
+    """:func:`split_sides_mask` against the set-based reference."""
+
+    @given(graphs_with_subsets())
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    def test_agrees_with_split_sides(self, case):
+        graph, members, kind = case
+        reference = split_sides(graph, members)
+        sides = split_sides_mask(graph, mask_of(members))
+        if reference is None:
+            assert sides is None
+        else:
+            assert sides == (mask_of(reference[0]), mask_of(reference[1]))
+        if kind in ("single", "all_positive", "planted"):
+            assert sides is not None
+        if kind in ("unbalanced_triangle", "planted_missing_edge"):
+            assert sides is None
+
+    def test_figure2_sides(self, toy_figure2):
+        assert split_sides_mask(toy_figure2, mask_of([0, 1, 2, 3])) == (
+            mask_of([0, 1]), mask_of([2, 3]))
+        assert split_sides_mask(toy_figure2, mask_of([4])) == (1 << 4, 0)
+        assert split_sides_mask(toy_figure2, 0) == (0, 0)
+        assert split_sides_mask(toy_figure2, mask_of([0, 4])) is None

@@ -261,6 +261,51 @@ class TestIncrementalSolve:
         assert_matches_full(solver)
 
 
+class TestWitnessRevalidation:
+    """A dirty entry's cached witness is re-checked, not re-solved:
+    sign flips can re-split a clique that stays balanced, or break it.
+    """
+
+    @staticmethod
+    def _counted(tracer, name: str) -> int:
+        return tracer.counters_snapshot().get(name, 0)
+
+    @pytest.mark.parametrize("engine", SOLVER_ENGINES)
+    def test_flips_re_split_then_break_the_witness(self, engine):
+        a, b, c, d = 0, 1, 2, 3
+        graph = SignedGraph.from_signed_edges(4, [
+            (a, b, 1), (c, d, 1),
+            (a, c, -1), (a, d, -1), (b, c, -1), (b, d, -1)])
+        solver = DynamicSolver(graph, tau=1, engine=engine)
+        held = BalancedClique.from_sides({a, b}, {c, d})
+        assert solver.solve().clique == held
+        assert solver.beta(return_witness=True) == (2, held)
+        tracer = get_tracer(True)
+        previous = install_tracer(tracer)
+        try:
+            for u, v in ((a, b), (c, d), (a, c), (b, d)):
+                solver.flip_sign(u, v)
+            re_split = solver.solve().clique
+            beta, beta_witness = solver.beta(return_witness=True)
+        finally:
+            install_tracer(previous)
+        assert re_split == BalancedClique.from_vertices(
+            graph, {a, b, c, d}) == BalancedClique.from_sides(
+                {a, c}, {b, d})
+        assert (beta, beta_witness) == (2, re_split)
+        # Both answers came from the re-checked witnesses alone.
+        assert self._counted(tracer, "dynamic.egos_resolved") == 0
+        assert self._counted(tracer, "dynamic.gamma_questions") == 0
+        solver.flip_sign(a, d)
+        broken = solver.solve()
+        assert broken.clique.vertices != {a, b, c, d}
+        assert broken.optimal
+        assert broken.clique.size == mbc_star(graph.copy(), 1).size == 3
+        assert broken.clique == BalancedClique.from_vertices(
+            graph, broken.clique.vertices)
+        assert solver.beta() == pf_star(graph.copy()) == 1
+
+
 class TestSerialPath:
     """A re-solve is the solver's own ego loop: it never enters
     ``repro.parallel``'s dispatch, even with the pool gate forced

@@ -79,7 +79,8 @@ def request(server: BackgroundServer, method: str, path: str,
         with urllib.request.urlopen(req, timeout=60) as resp:
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        with exc:
+            return exc.code, json.loads(exc.read())
 
 
 def post(server: BackgroundServer, path: str,
@@ -152,14 +153,16 @@ class TestRouting:
             server.url + "/solve", data=b"{not json", method="POST")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(req, timeout=10)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
 
     def test_non_object_body_is_400(self, server):
         req = urllib.request.Request(
             server.url + "/solve", data=b"[1, 2]", method="POST")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(req, timeout=10)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
 
     def test_rejections_bump_the_rejected_counter(self, server):
         before = counters(server)

@@ -8,10 +8,13 @@
   ``validate()`` must agree with the model.
 * :class:`DynamicSolverMachine` drives a :class:`DynamicSolver`, once
   per available engine, through solver edits mixed with direct graph
-  edits (each of which forces a rebuild at the next call), exact and
-  budgeted ``solve()`` and ``beta()``.  Every answer is checked against
-  set-engine ``mbc_star``/``pf_star`` on a copy of the current graph,
-  and every witness with ``is_balanced_clique``.
+  edits (each of which forces a rebuild at the next call), sign flips
+  inside the last returned witness (so cached witnesses are re-split
+  or broken), exact and budgeted ``solve()`` and ``beta()``.  Every
+  answer is checked against set-engine ``mbc_star``/``pf_star`` on a
+  copy of the current graph, and every witness with
+  ``is_balanced_clique`` and against the sides ``from_vertices``
+  splits it into.
 
 Runs are derandomized with the loaded hypothesis profile's example
 count: the default in tier-1, ten times more under
@@ -176,6 +179,8 @@ class DynamicSolverMachine(RuleBasedStateMachine):
         super().__init__()
         self.engine = engine
         self.solver: DynamicSolver | None = None
+        #: The last witness ``solve()`` or ``beta()`` returned.
+        self.incumbent: BalancedClique | None = None
 
     @initialize(graph=signed_graphs(max_vertices=N, min_vertices=N),
                 tau=st.integers(min_value=1, max_value=3))
@@ -211,6 +216,18 @@ class DynamicSolverMachine(RuleBasedStateMachine):
     def solver_flip(self, u: int, v: int) -> None:
         self._edit(self.solver, "flip_sign", u, v)
 
+    @rule(pick=st.integers(min_value=0, max_value=63))
+    def flip_in_incumbent(self, pick: int) -> None:
+        """Flip an edge between two members of the last witness, so the
+        next call re-checks a cached witness that was re-split or
+        broken (an edge removed since then raises, as on the copy)."""
+        if self.incumbent is None or self.incumbent.size < 2:
+            return
+        members = sorted(self.incumbent.vertices)
+        pairs = [(u, v) for i, u in enumerate(members)
+                 for v in members[i + 1:]]
+        self._edit(self.solver, "flip_sign", *pairs[pick % len(pairs)])
+
     @rule(u=ids, v=ids, sign=signs)
     def direct_add(self, u: int, v: int, sign: int) -> None:
         self._edit(self.graph, "add_edge", u, v, sign)
@@ -230,6 +247,9 @@ class DynamicSolverMachine(RuleBasedStateMachine):
     def _check_witness(self, clique: BalancedClique, tau: int) -> None:
         if not clique.is_empty:
             assert is_balanced_clique(self.graph, clique.vertices, tau)
+            # The sides too: a flip can re-split a still-balanced clique.
+            assert clique == BalancedClique.from_vertices(
+                self.graph, clique.vertices)
 
     @rule(max_nodes=st.none() | st.integers(min_value=0, max_value=5))
     def solve(self, max_nodes: int | None) -> None:
@@ -237,6 +257,7 @@ class DynamicSolverMachine(RuleBasedStateMachine):
         tau = self.solver.tau
         budget = None if max_nodes is None else Budget(max_nodes=max_nodes)
         result = self.solver.solve(budget)
+        self.incumbent = result.clique
         optimum = mbc_star(self.graph.copy(), tau, engine="set").size
         self._check_witness(result.clique, tau)
         assert result.lower_bound == result.clique.size
@@ -252,6 +273,7 @@ class DynamicSolverMachine(RuleBasedStateMachine):
         assert self.solver is not None
         budget = None if max_nodes is None else Budget(max_nodes=max_nodes)
         value, witness = self.solver.beta(budget, return_witness=True)
+        self.incumbent = witness
         exact = pf_star(self.graph.copy(), engine="set")
         self._check_witness(witness, 0)
         assert witness.polarization == value
