@@ -32,7 +32,7 @@ __all__ = ["GraphArgumentMutationRule"]
 #: which polices the same methods inside ``repro.dynamic``).
 GRAPH_MUTATORS = frozenset({
     "add_edge", "remove_edge", "flip_sign", "add_vertex",
-    "isolate_vertex", "rate", "_invalidate_bits",
+    "isolate_vertex", "rate", "_drop_rows",
 })
 
 TARGET_PACKAGES = frozenset(

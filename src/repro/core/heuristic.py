@@ -16,6 +16,7 @@ of Table IV.
 from __future__ import annotations
 
 import heapq
+from typing import Callable
 
 from ..dichromatic.build import build_dichromatic_network
 from ..kernels import validate_engine
@@ -66,6 +67,11 @@ def mbc_heuristic(
         subgraph ``G[alive]`` (MBC* passes the ``VertexReduction``
         survivors); degrees, anchors and growth all stay inside it and
         the clique is in ``graph``'s own vertex ids.
+
+    The mask engines build the graph's mask rows they read and no
+    others: with ``alive`` its rows, to rank the anchors, and without
+    it each anchor's row and those of the candidates its growth ranks
+    (a part of the anchor's neighbourhood).
     """
     validate_engine(engine)
     if graph.num_vertices == 0 or alive == 0:
@@ -80,7 +86,7 @@ def mbc_heuristic(
         # prefix: ties keep ascending id order.
         anchors = heapq.nlargest(
             max(tries, 1), members,
-            key=lambda v: _balance(graph, v, alive, keep))
+            key=_anchor_rank(graph, members, alive, keep))
     best = EMPTY_RESULT
     for candidate in anchors:
         if engine == "set":
@@ -92,18 +98,21 @@ def mbc_heuristic(
     return best
 
 
-def _balance(graph: SignedGraph, v: int, alive: int | None,
-             keep: "set[int] | None") -> int:
+def _anchor_rank(graph: SignedGraph, members: list[int],
+                 alive: int | None,
+                 keep: "set[int] | None") -> Callable[[int], int]:
     """Anchor rank ``min(d+(v), d-(v))`` with degrees counted inside
     ``alive``: set intersections when the set engine passes ``keep``
-    (the same vertices as a set), mask popcounts otherwise."""
+    (the same vertices as a set), popcounts of ``members``' mask rows
+    otherwise."""
     if alive is None:
-        return min(graph.pos_degree(v), graph.neg_degree(v))
+        return lambda v: min(graph.pos_degree(v), graph.neg_degree(v))
     if keep is not None:
-        return min(len(graph.pos_neighbors(v) & keep),
-                   len(graph.neg_neighbors(v) & keep))
-    return min((graph.pos_adjacency_bits()[v] & alive).bit_count(),
-               (graph.neg_adjacency_bits()[v] & alive).bit_count())
+        return lambda v: min(len(graph.pos_neighbors(v) & keep),
+                             len(graph.neg_neighbors(v) & keep))
+    pos, neg = graph.adjacency_rows(members)
+    return lambda v: min((pos[v] & alive).bit_count(),
+                         (neg[v] & alive).bit_count())
 
 
 def _grow_from_bits(
@@ -116,10 +125,12 @@ def _grow_from_bits(
     ``g_u`` is its positive neighbours on its own side plus its
     negative neighbours on the other side.  So the candidate pools are
     two masks over ``graph``'s ids and each degree is one popcount of
-    ``(pos[v] & same) | (neg[v] & other)``.
+    ``(pos[v] & same) | (neg[v] & other)``.  Each step asks for the
+    rows of the pool it ranks, so the growth builds the anchor's row
+    and those of the candidates it ranks, a part of the anchor's
+    neighbourhood (inside ``alive``).
     """
-    pos = graph.pos_adjacency_bits()
-    neg = graph.neg_adjacency_bits()
+    pos, neg = graph.adjacency_rows((anchor,))
     left_pool = pos[anchor]
     right_pool = neg[anchor]
     if alive is not None:
@@ -135,11 +146,9 @@ def _grow_from_bits(
             else (left_pool, right_pool)
         best_v = -1
         best_degree = -1
-        rest = same
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
+        members = bits_of(same)
+        graph.adjacency_rows(members)
+        for v in members:
             degree = ((pos[v] & same) | (neg[v] & other)).bit_count()
             if degree > best_degree:
                 best_degree = degree

@@ -178,7 +178,8 @@ def _pipeline(
     # Line 1: VertexReduction (plus EdgeReduction for the variant).
     # Every later phase runs in the caller's vertex ids on the
     # survivors' ``alive`` mask over the graph's cached adjacency masks:
-    # no relabelled subgraph copy is ever built.
+    # no relabelled subgraph copy is ever built, and every phase reads
+    # only survivors' rows, so only those are built.
     working = graph
     n = graph.num_vertices
     with tracer.span("vertex_reduction", n=n) as phase:
@@ -230,13 +231,13 @@ def _pipeline(
     with tracer.span("core_reduction", required=required) as phase:
         if engine != "set":
             # Degrees inside ``alive`` are popcounts of the signed
-            # masks; the peel walks the flat neighbour array, and leaves
-            # ``degree`` holding the degrees inside the core.
+            # masks; the peel walks the survivors' neighbour rows, and
+            # leaves ``degree`` holding the degrees inside the core.
             members = bits_of(alive)
             degree = degrees_inside(working, members, alive)
-            offsets, targets = working.neighbor_array()
-            inside = k_core_array(offsets, targets, required - 1,
-                                  members, degree)
+            neighbors = working.neighbor_rows(members)
+            inside = k_core_array(neighbors, required - 1, members,
+                                  degree)
             core = [v for v in members if inside[v]]
         else:
             unsigned = UnsignedGraph.from_signed(working)
@@ -256,7 +257,7 @@ def _pipeline(
                 # clique able to beat the incumbent lies inside the
                 # |C*|-core, and the sweep only ever ranks core vertices.
                 order = degeneracy_ordering_array(
-                    offsets, targets, core, degree)
+                    neighbors, core, degree)
             else:
                 core_set = set(core)
                 order = [v for v in degeneracy_ordering(
@@ -281,18 +282,19 @@ def _pipeline(
         # witness", which a fan-out cannot honour cheaply.
         pays = False
         if workers > 1 and not check_only:
-            pos_bits = working.pos_adjacency_bits()
-            neg_bits = working.neg_adjacency_bits()
             if engine != "set" and ordering == "degeneracy":
                 later = degree
             else:
-                later = planned_later(pos_bits, neg_bits, order)
+                later = planned_later(*working.adjacency_rows(order),
+                                      order)
             costs = peel_costs(order, later, required - 1)
             pays = pool_pays(costs, workers)
             if tracer.enabled:
                 phase.set(work=sum(c * c for c in costs), pool=pays)
 
     if pays:
+        # The pool ships every row to its workers.
+        pos_bits, neg_bits = working.adjacency_rows()
         return mbc_ego_fanout(
             pos_bits, neg_bits, n, tau, best, order, workers,
             use_core=use_core, use_coloring=use_coloring, stats=stats,
@@ -304,7 +306,7 @@ def _pipeline(
     # filter is a mask accumulated over the vertices already processed,
     # exactly those ranked above the current one.
     mdc_step = MDC_STEPS[engine]
-    adjacency = ego_adjacency(working, engine)
+    adjacency = ego_adjacency(working, engine, order)
     with tracer.span("sweep", n=len(order)):
         allowed = 0
         for u in reversed(order):

@@ -303,10 +303,9 @@ def _pf_pipeline(
                 graph, alive, later=later if pooling else None)
         elif engine != "set":
             members = bits_of(alive)
-            offsets, targets = graph.neighbor_array()
             degree = degrees_inside(graph, members, alive)
             order = degeneracy_ordering_array(
-                offsets, targets, members, degree)
+                graph.neighbor_rows(members), members, degree)
             later = degree
         else:
             order = degeneracy_ordering(
@@ -329,10 +328,11 @@ def _pf_pipeline(
                 phase.set(work=sum(c * c for c in costs), pool=pays)
 
     if pays:
+        # The pool ships every row to its workers.
         return pf_round_fanout(
-            graph.pos_adjacency_bits(), graph.neg_adjacency_bits(), n,
-            order, pn, tau_star, witness, workers,
-            stats=stats, engine=engine, trace=tracer, budget=budget)
+            *graph.adjacency_rows(), n, order, pn, tau_star, witness,
+            workers, stats=stats, engine=engine, trace=tracer,
+            budget=budget)
 
     # Lines 4-8: reverse-order sweep, one +1 feasibility question per
     # vertex (Lemma 4) through the DCC ego step of
@@ -340,7 +340,7 @@ def _pf_pipeline(
     # (tau*+1, tau*+1)-core, DCC).  As in MBC*, the higher-ranked
     # filter is a mask of already-processed vertices.
     dcc_step = DCC_STEPS[engine]
-    adjacency = ego_adjacency(graph, engine)
+    adjacency = ego_adjacency(graph, engine, order)
     with tracer.span("sweep", n=len(order)):
         allowed = 0
         for u in reversed(order):

@@ -37,9 +37,9 @@ def degrees_inside(graph: SignedGraph, members: list[int],
                    alive: int) -> list[int]:
     """Signs-ignored degree inside the vertex mask ``alive`` of each of
     ``members`` (``0`` for every other vertex), as popcounts of the
-    graph's cached masks: the starting degrees of the array peels."""
-    pos_bits = graph.pos_adjacency_bits()
-    neg_bits = graph.neg_adjacency_bits()
+    graph's cached masks (only ``members``' rows are built): the
+    starting degrees of the array peels."""
+    pos_bits, neg_bits = graph.adjacency_rows(members)
     degree = [0] * graph.num_vertices
     for v in members:
         degree[v] = (pos_bits[v] & alive).bit_count() \
@@ -200,7 +200,8 @@ def polar_core_numbers(
     ``alive`` (a vertex mask) restricts the decomposition to the
     induced subgraph ``G[alive]`` without copying it: PF* passes the
     ``VertexReduction`` survivors, and degrees come from the graph's
-    cached adjacency masks.  Ties pop lowest id first (one int heap key
+    cached adjacency masks, of which only the survivors' rows are
+    built.  Ties pop lowest id first (one int heap key
     ``key * n + v``), so the result in the caller's ids is the
     relabelled-subgraph result mapped back.  A neighbour's entry is
     pushed only when its key actually drops (it lost an edge on its
@@ -222,8 +223,7 @@ def polar_core_numbers(
         alive = graph.all_bits()
     else:
         members = bits_of(alive)
-    pos_bits = graph.pos_adjacency_bits()
-    neg_bits = graph.neg_adjacency_bits()
+    pos_bits, neg_bits = graph.adjacency_rows(members)
     # Vertices outside ``alive`` start out removed, so the peel skips
     # them like already-peeled ones.
     removed = bytearray(b"\x01") * n

@@ -67,7 +67,7 @@ checkpoints and what to do with a witness.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..kernels.bitset import bits_of
 from ..kernels.active import (
@@ -111,12 +111,16 @@ EgoOutcome = tuple[
     "str | None", int, "DichromaticGraph | None", "set[int] | None"]
 
 
-def ego_adjacency(graph: SignedGraph, engine: str) -> object:
+def ego_adjacency(graph: SignedGraph, engine: str,
+                  rows: "Iterable[int] | None" = None) -> object:
     """``graph``'s adjacency in ``engine``'s form for the steps below:
-    the graph itself for ``"set"``, its cached signed masks otherwise."""
+    the graph itself for ``"set"``, its cached signed masks otherwise,
+    with the rows of ``rows`` built (every row when ``None``).  A sweep
+    passes its order: an ego step reads the rows of its anchor and of
+    the candidates in ``allowed``, all of them in the order."""
     if engine == "set":
         return graph
-    return graph.pos_adjacency_bits(), graph.neg_adjacency_bits()
+    return graph.adjacency_rows(rows)
 
 
 def witness_members(network: DichromaticGraph,

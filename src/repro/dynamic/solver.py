@@ -13,9 +13,10 @@ decomposition *persistent*:
 * a fixed degeneracy order over **all** vertices is computed once at
   construction, by the peel MBC* runs
   (:func:`~repro.kernels.active.degeneracy_ordering_array` over the
-  graph's neighbour array).  Any fixed order keeps the decomposition
-  exhaustive (every clique has a unique lowest-ranked member), so the
-  order never needs to track edits — only the per-ego answers do;
+  graph's neighbour rows, every one of them built).  Any fixed order
+  keeps the decomposition exhaustive (every clique has a unique
+  lowest-ranked member), so the order never needs to track edits —
+  only the per-ego answers do;
 * per vertex ``u`` an :class:`EgoEntry` caches certified bounds
   ``lower <= val(u) <= upper`` plus the witness clique backing
   ``lower``.  Bounds come from the exhaustive-above-floor contract of
@@ -170,11 +171,14 @@ class DynamicSolver:
         graph = self._graph
         n = graph.num_vertices
         self._n = n
+        # Every ego reads its own rows, so the solver asks the graph
+        # for every mask row and neighbour row up front; edits then
+        # patch the mask rows in place.
+        graph.adjacency_rows()
+        neighbors = graph.neighbor_rows()
         # The peel MBC* runs, over every vertex of the graph.
-        offsets, targets = graph.neighbor_array()
-        degree = [offsets[v + 1] - offsets[v] for v in range(n)]
         self._order = degeneracy_ordering_array(
-            offsets, targets, list(range(n)), degree)
+            neighbors, list(range(n)), list(map(len, neighbors)))
         self._allowed = suffix_masks(self._order)
         self._entries = [EgoEntry() for _ in range(n)]
         self._dirty: set[int] = set()
@@ -250,8 +254,7 @@ class DynamicSolver:
         self._edits += 1
         self._fingerprint = self._graph.fingerprint()
         self._result = None
-        pos = self._graph.pos_adjacency_bits()
-        neg = self._graph.neg_adjacency_bits()
+        pos, neg = self._graph.adjacency_rows()
         adjacency_u = pos[u] | neg[u]
         adjacency_v = pos[v] | neg[v]
         rest = (adjacency_u & adjacency_v) | (1 << u) | (1 << v)
@@ -298,9 +301,9 @@ class DynamicSolver:
         """``u``'s positive and negative higher-ranked neighbour
         counts, read off the graph's masks."""
         allowed = self._allowed[u]
-        graph = self._graph
-        return ((graph.pos_adjacency_bits()[u] & allowed).bit_count(),
-                (graph.neg_adjacency_bits()[u] & allowed).bit_count())
+        pos, neg = self._graph.adjacency_rows()
+        return ((pos[u] & allowed).bit_count(),
+                (neg[u] & allowed).bit_count())
 
     def _refresh_entry(self, u: int) -> None:
         """Recompute ``u``'s cheap certified bounds (mask ops only)."""

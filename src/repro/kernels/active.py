@@ -10,13 +10,14 @@ mask-building cost once and every node after that runs on word-parallel
 integer ops.
 
 The graph-level peels of MBC* and PF* (the ``|C*|``-core and the
-degeneracy ordering) also come fed from a graph's flat neighbour array
-(:meth:`repro.signed.graph.SignedGraph.neighbor_array`):
-:func:`k_core_array` and :func:`degeneracy_ordering_array` read one
-machine word per edge where the mask forms extract bits from wide
-ints.  Both degeneracy orderings share one bucket loop,
-:func:`degeneracy_peel`, so they return the same order, and
-:func:`suffix_masks` turns an order into the ego instances'
+degeneracy ordering) also come fed from a graph's ascending neighbour
+lists (:meth:`repro.signed.graph.SignedGraph.neighbor_rows`):
+:func:`k_core_array` and :func:`degeneracy_ordering_array` walk them,
+one machine-word read per edge where the mask forms extract bits from
+wide ints, and read only the rows of the subgraph they peel.
+:func:`degeneracy_ordering_mask` extracts such lists from masks and
+runs the same bucket loop, so both orderings return the same order,
+and :func:`suffix_masks` turns an order into the ego instances'
 higher-ranked candidate masks.
 
 Semantics mirror the set implementations in
@@ -27,10 +28,7 @@ differ, which affects neither soundness nor the search result.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from array import array
+from typing import Sequence
 
 __all__ = [
     "intersect_active",
@@ -42,7 +40,6 @@ __all__ = [
     "active_edge_count_mask",
     "degeneracy_ordering_mask",
     "degeneracy_ordering_array",
-    "degeneracy_peel",
     "k_core_array",
     "suffix_masks",
 ]
@@ -237,38 +234,24 @@ def degeneracy_ordering_mask(adj: list[int], active: int) -> list[int]:
             lst.append(low.bit_length() - 1)
         neighbors[v] = lst
         degree[v] = len(lst)
-    return degeneracy_peel(members, degree, neighbors)
+    return degeneracy_ordering_array(neighbors, members, degree)
 
 
-def degeneracy_ordering_array(offsets: "array[int]", targets: "array[int]",
+def degeneracy_ordering_array(neighbors: "Sequence[Sequence[int]]",
                               members: list[int],
                               degree: list[int]) -> list[int]:
-    """:func:`degeneracy_ordering_mask` over a flat neighbour array.
+    """The bucket-queue degeneracy peel over ascending neighbour lists.
 
-    ``(offsets, targets)`` is a graph's
-    :meth:`~repro.signed.graph.SignedGraph.neighbor_array`;
-    ``members`` lists the induced subgraph's vertices ascending and
-    ``degree[v]`` their degrees inside it; on return ``degree[v]`` is
-    ``v``'s count of neighbours after it in the order.  The peel walks
-    array slices, one machine-word read per edge, and returns the
-    order :func:`degeneracy_ordering_mask` gives on the same subgraph.
-    """
-    neighbors: "list[Sequence[int]]" = [()] * len(degree)
-    for v in members:
-        neighbors[v] = targets[offsets[v]:offsets[v + 1]]
-    return degeneracy_peel(members, degree, neighbors)
-
-
-def degeneracy_peel(members: list[int], degree: list[int],
-                    neighbors: "Sequence[Sequence[int]]") -> list[int]:
-    """The bucket-queue loop behind both degeneracy orderings.
-
-    ``members`` are the subgraph's vertices ascending, ``degree[v]``
-    their degrees inside it (updated in place; an entry freezes when
-    its vertex is peeled, at its count of later neighbours) and
-    ``neighbors[v]`` their ascending neighbours; neighbours outside
-    ``members`` are skipped.  Ties break by bucket insertion order, so equal inputs
-    give equal orders whatever representation fed them.
+    ``neighbors[v]`` lists ``v``'s neighbours ascending (a graph's
+    :meth:`~repro.signed.graph.SignedGraph.neighbor_rows`; only the
+    rows of ``members`` are read), ``members`` the induced subgraph's
+    vertices ascending and ``degree[v]`` their degrees inside it.
+    ``degree`` is updated in place: an entry freezes when its vertex
+    is peeled, at its count of neighbours after it in the order.
+    Neighbours outside ``members`` are skipped.  Ties break by bucket
+    insertion order, so equal inputs give equal orders whatever
+    representation fed them: the order
+    :func:`degeneracy_ordering_mask` gives on the same subgraph.
     """
     if not members:
         return []
@@ -306,15 +289,17 @@ def degeneracy_peel(members: list[int], degree: list[int],
     return order
 
 
-def k_core_array(offsets: "array[int]", targets: "array[int]", k: int,
+def k_core_array(neighbors: "Sequence[Sequence[int]]", k: int,
                  members: list[int], degree: list[int]) -> bytearray:
     """Label-blind ``k``-core of the subgraph induced by ``members``,
-    peeled over a flat neighbour array.
+    peeled over ascending neighbour lists.
 
-    ``degree[v]`` holds each member's degree inside ``members``; on
-    return it holds each survivor's degree inside the core.  Returns a
-    flag per vertex, set exactly for the survivors: the vertices
-    :func:`k_core_active_mask` keeps.
+    ``neighbors`` is as in :func:`degeneracy_ordering_array` (only the
+    rows of ``members`` are read) and ``degree[v]`` holds each
+    member's degree inside ``members``; on return it holds each
+    survivor's degree inside the core.  Returns a flag per vertex, set
+    exactly for the survivors: the vertices :func:`k_core_active_mask`
+    keeps.
     """
     inside = bytearray(len(degree))
     stack: list[int] = []
@@ -325,7 +310,7 @@ def k_core_array(offsets: "array[int]", targets: "array[int]", k: int,
             inside[v] = 1
     while stack:
         v = stack.pop()
-        for u in targets[offsets[v]:offsets[v + 1]]:
+        for u in neighbors[v]:
             if inside[u]:
                 du = degree[u] - 1
                 degree[u] = du

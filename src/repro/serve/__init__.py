@@ -28,10 +28,16 @@ from .protocol import (
     ProtocolError,
     SolveRequest,
 )
-from .service import RegisteredGraph, SolverService, parse_dataset_ref
+from .service import (
+    DATASET_MEMO_CAPACITY,
+    RegisteredGraph,
+    SolverService,
+    parse_dataset_ref,
+)
 
 __all__ = [
     "BackgroundServer",
+    "DATASET_MEMO_CAPACITY",
     "DEFAULT_CACHE_CAPACITY",
     "DEFAULT_MAX_PENDING",
     "DEFAULT_POOL_SIZE",

@@ -350,8 +350,10 @@ class ServeApp:
                 and not self.service.dataset_cached(request.graph):
             name, scale = parse_dataset_ref(request.graph)
             async with self._dataset_lock:
-                await self._run_blocking(
-                    self.service.load_dataset, name, scale)
+                # The loaded graph itself, not a second memo lookup:
+                # the bounded memo may have evicted it meanwhile.
+                return await self._run_blocking(
+                    self.service.load_dataset, name, scale), None
         return self.service.resolve_graph(request.graph)
 
     async def _run_solve(

@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass
 
 from ..signed.graph import SignedGraph
-from ..signed.io import read_edge_lines
+from ..signed.io import read_edge_lines, read_edge_text
 
 __all__ = [
     "SERVE_SCHEMA",
@@ -284,8 +284,10 @@ def graph_from_inline(spec: dict) -> SignedGraph:
     diagnostic, ``read_edge_lines``'s conflicting-duplicate-edge error
     — never as 500s (the regression the serve suite pins).
     """
-    lines = _inline_lines(spec["edges"])
+    edges = spec["edges"]
     try:
-        return read_edge_lines(lines)
+        if isinstance(edges, str):
+            return read_edge_text(edges)
+        return read_edge_lines(_inline_lines(edges))
     except ValueError as exc:
         raise ProtocolError(400, f"invalid edge list: {exc}") from exc

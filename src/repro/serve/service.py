@@ -12,7 +12,9 @@
   evicting whole answers,
 * a memo of **resolved dataset refs**, so ``dataset:douban`` costs
   one generation, after which its fingerprint (the cache key) is
-  O(1) per request,
+  O(1) per request; it keeps the ``DATASET_MEMO_CAPACITY`` most
+  recently used refs, so distinct ``@SCALE`` refs cannot grow it
+  without bound,
 * the service-lifetime **metrics tracer** (``serve.*`` counters and
   the merged per-request span trees behind ``GET /stats``).
 
@@ -27,6 +29,9 @@ threads.
 
 from __future__ import annotations
 
+import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..core.gmbc import gmbc_star
@@ -41,7 +46,12 @@ from ..signed.graph import SignedGraph
 from .cache import DEFAULT_CACHE_CAPACITY, ResultCache
 from .protocol import ProtocolError, SolveRequest, graph_from_inline
 
-__all__ = ["SolverService", "RegisteredGraph", "parse_dataset_ref"]
+__all__ = ["SolverService", "RegisteredGraph", "parse_dataset_ref",
+           "DATASET_MEMO_CAPACITY"]
+
+#: Resolved dataset refs a service keeps, least recently used evicted
+#: first: the size of the registry's own generation cache.
+DATASET_MEMO_CAPACITY = 32
 
 
 def parse_dataset_ref(ref: str) -> "tuple[str, float]":
@@ -61,9 +71,10 @@ def parse_dataset_ref(ref: str) -> "tuple[str, float]":
             raise ProtocolError(
                 400, f"invalid dataset scale {scale_text!r} in "
                      f"{ref!r}") from None
-        if not scale > 0:
+        if not (scale > 0 and math.isfinite(scale)):
             raise ProtocolError(
-                400, f"dataset scale must be > 0, got {scale}")
+                400, f"dataset scale must be a finite number > 0, "
+                     f"got {scale_text!r} in {ref!r}")
     if name.lower() not in dataset_names():
         raise ProtocolError(
             400, f"unknown dataset {name!r}; "
@@ -117,7 +128,12 @@ class SolverService:
         #: Service-lifetime tracer: ``serve.*`` counters plus the
         #: per-request span trees the app absorbs after each request.
         self.tracer: Tracer = get_tracer(True)
-        self._datasets: "dict[tuple[str, float], SignedGraph]" = {}
+        # The dataset memo, oldest use first.  ``load_dataset`` writes
+        # it from pool threads while the loop thread reads it, so
+        # every access holds the lock.
+        self._datasets: \
+            "OrderedDict[tuple[str, float], SignedGraph]" = OrderedDict()
+        self._datasets_lock = threading.Lock()
 
     # -- counters (loop-thread-only) -----------------------------------
 
@@ -152,28 +168,36 @@ class SolverService:
                          f"register it via POST /graphs first")
             return registered.graph, registered
         name, scale = parse_dataset_ref(spec)
-        graph = self._datasets.get((name, scale))
-        if graph is None:
-            graph = self.load_dataset(name, scale)
-        return graph, None
+        return self.load_dataset(name, scale), None
 
     def dataset_cached(self, spec: str) -> bool:
         """Whether a dataset ref is already materialised (memo hit)."""
-        return parse_dataset_ref(spec) in self._datasets
+        key = parse_dataset_ref(spec)
+        with self._datasets_lock:
+            return key in self._datasets
 
     def load_dataset(self, name: str, scale: float) -> SignedGraph:
-        """Generate (or re-use) a stand-in; memoised per (name, scale).
+        """Generate (or re-use) a stand-in; memoised per (name, scale)
+        with least-recently-used eviction past
+        ``DATASET_MEMO_CAPACITY`` refs.
 
         Generation is deterministic, so a duplicate generation from a
         racing first request is wasteful but harmless — last write
         wins with an identical graph.
         """
         key = (name, scale)
-        graph = self._datasets.get(key)
-        if graph is None:
-            graph = load(name, scale=scale)
-            graph.fingerprint()  # prime: later requests need O(1) keys
+        with self._datasets_lock:
+            graph = self._datasets.get(key)
+            if graph is not None:
+                self._datasets.move_to_end(key)
+                return graph
+        graph = load(name, scale=scale)
+        graph.fingerprint()  # prime: later requests need O(1) keys
+        with self._datasets_lock:
             self._datasets[key] = graph
+            self._datasets.move_to_end(key)
+            while len(self._datasets) > DATASET_MEMO_CAPACITY:
+                self._datasets.popitem(last=False)
         return graph
 
     # -- solving -------------------------------------------------------

@@ -19,15 +19,19 @@ algorithms intersect neighbourhoods constantly; set intersection is the
 dominant primitive.  The structure is mutable only through the explicit
 edge/vertex editing API; algorithms never mutate a caller's graph.
 MBC* and PF* restrict every phase to a vertex mask over the graph's
-lazily cached adjacency masks (:meth:`SignedGraph.pos_adjacency_bits`),
-in the caller's own ids, and run their graph-level peels on the cached
-flat neighbour array (:meth:`SignedGraph.neighbor_array`); code that
-must edit (EdgeReduction) works on a :meth:`SignedGraph.copy`.  The
-mutators are the one place an edit is checked: they reject
+cached adjacency masks (:meth:`SignedGraph.adjacency_rows`), in the
+caller's own ids, and run their graph-level peels on its cached
+ascending neighbour lists (:meth:`SignedGraph.neighbor_rows`).  Both
+caches fill one row at a time, on demand: a solve asks for the rows
+of the vertices it will read (MBC* for its VertexReduction survivors),
+so a graph that reduces to a few survivors never builds the rest.  A
+row nobody asked for is an unbuilt row, which raises on any use.  Code
+that must edit (EdgeReduction) works on a :meth:`SignedGraph.copy`.
+The mutators are the one place an edit is checked: they reject
 out-of-range ids before touching anything, report what they changed,
-and keep the cached masks current (the edge mutators patch both
-endpoints in place), so a solve after an edit never sees stale
-adjacency and an incremental caller
+and keep the built rows current (the edge mutators patch both
+endpoints' mask rows in place), so a solve after an edit never sees
+stale adjacency and an incremental caller
 (:class:`repro.dynamic.DynamicSolver`) reads the same masks instead
 of keeping its own.
 """
@@ -37,10 +41,9 @@ from __future__ import annotations
 import hashlib
 import operator
 import threading
-from array import array
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NoReturn, Sequence
 
-from ..kernels.bitset import adjacency_masks, full_mask
+from ..kernels.bitset import full_mask, mask_of
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -104,6 +107,46 @@ def _neighbor_key(code: int) -> int:
     return _neighbor_keys(v + 1)[code & 1][v]
 
 
+class _UnbuiltRow:
+    """The entry of an adjacency row nobody has asked for yet.
+
+    Every use raises ``LookupError``, so a solve that reads a row it
+    did not ask for fails at once instead of reading an empty mask or
+    an empty neighbour list.
+    """
+
+    __slots__ = ()
+
+    def _unbuilt(self, *_args: object) -> NoReturn:
+        raise LookupError(
+            "adjacency row not built: ask for it with "
+            "SignedGraph.adjacency_rows() or neighbor_rows()")
+
+    __bool__ = __len__ = __iter__ = __contains__ = __getitem__ = _unbuilt
+    __index__ = __int__ = __invert__ = __neg__ = _unbuilt
+    __and__ = __rand__ = __or__ = __ror__ = __xor__ = __rxor__ = _unbuilt
+    __lshift__ = __rlshift__ = __rshift__ = __rrshift__ = _unbuilt
+    __add__ = __radd__ = __sub__ = __rsub__ = _unbuilt
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _unbuilt
+    bit_count = to_bytes = _unbuilt
+
+    def __repr__(self) -> str:
+        return "<unbuilt row>"
+
+    def __reduce__(self) -> str:
+        # Pickles and deep copies as the module's one instance, so a
+        # copied graph's unbuilt rows still compare by identity.
+        return "_UNBUILT"
+
+
+#: The one unbuilt-row entry (compared by identity).
+_UNBUILT: Any = _UnbuiltRow()
+
+# Guards the first allocation of a graph's row lists, so threads that
+# ask for rows of one shared graph at once fill the same lists.
+_ROWS_LOCK = threading.Lock()
+
+
 def _row_token(u: int, row_sum: int) -> int:
     """SHA-256 of row ``u``: ``u`` as 8 big-endian bytes, then its key
     sum as 32."""
@@ -133,10 +176,11 @@ class SignedGraph:
         # reduction loops).
         self._pos_edges = 0
         self._neg_edges = 0
-        self._pos_bits: list[int] | None = None
-        self._neg_bits: list[int] | None = None
-        self._neighbor_array: "tuple[array[int], array[int]] | None" = \
-            None
+        # The row caches (see ``adjacency_rows`` and ``neighbor_rows``):
+        # one entry per vertex, ``_UNBUILT`` until someone asks for it.
+        self._masks: tuple[list[int], list[int]] | None = None
+        self._masks_complete = False
+        self._neighbor_rows: list[list[int]] | None = None
         # The last digest ``fingerprint()`` returned, with the
         # ``(n, acc)`` it hashed: a pair it checks rather than trusts,
         # so a digest computed on one thread while another edits can
@@ -320,52 +364,97 @@ class SignedGraph:
         """``N(v) = N+(v) ∪ N-(v)`` (a fresh set)."""
         return self._pos[v] | self._neg[v]
 
-    def pos_adjacency_bits(self) -> list[int]:
-        """Per-vertex positive-neighbour bitmasks, lazily cached.
+    def adjacency_rows(
+        self, rows: Iterable[int] | None = None,
+    ) -> tuple[list[int], list[int]]:
+        """The signed adjacency masks ``(pos, neg)``, built per row on
+        demand.
 
-        Once built, the list stays current across edge edits:
-        :meth:`add_edge`, :meth:`remove_edge` and :meth:`flip_sign`
-        patch both endpoints' masks in place.  :meth:`add_vertex` and
-        :meth:`isolate_vertex` drop it, so the next call returns a
-        fresh list.  Callers must not mutate the returned list.
+        ``pos[v]`` and ``neg[v]`` are the masks of ``v``'s positive
+        and negative neighbours.  The rows of ``rows`` (every row when
+        ``None``) are built before this returns; any other entry may be
+        an unbuilt row, which raises ``LookupError`` on any use, so
+        ask for every row you read.  Built rows stay cached, and the
+        calls return the same two lists: :meth:`add_edge`,
+        :meth:`remove_edge` and :meth:`flip_sign` patch both endpoints'
+        built rows in place, while :meth:`add_vertex` and
+        :meth:`isolate_vertex` drop the lists, so the next call
+        returns fresh ones.  Once every row is built a call costs
+        O(1).  Callers must not mutate the lists.
         """
-        if self._pos_bits is None:
-            self._pos_bits = adjacency_masks(self._pos)
-        return self._pos_bits
+        masks = self._masks
+        if masks is None:
+            with _ROWS_LOCK:
+                if self._masks is None:
+                    n = len(self._pos)
+                    self._masks = [_UNBUILT] * n, [_UNBUILT] * n
+                masks = self._masks
+        if not self._masks_complete:
+            pos, neg = masks
+            for v in range(len(pos)) if rows is None else rows:
+                if pos[v] is _UNBUILT:
+                    # ``pos[v]`` last: it is what marks the row built.
+                    neg[v] = mask_of(self._neg[v])
+                    pos[v] = mask_of(self._pos[v])
+            if rows is None:
+                self._masks_complete = True
+        return masks
+
+    def pos_adjacency_bits(self) -> list[int]:
+        """Per-vertex positive-neighbour bitmasks, every row built:
+        ``adjacency_rows()[0]``, under its contract."""
+        return self.adjacency_rows()[0]
 
     def neg_adjacency_bits(self) -> list[int]:
-        """Per-vertex negative-neighbour bitmasks, lazily cached; same
-        contract as :meth:`pos_adjacency_bits`."""
-        if self._neg_bits is None:
-            self._neg_bits = adjacency_masks(self._neg)
-        return self._neg_bits
+        """Per-vertex negative-neighbour bitmasks, every row built:
+        ``adjacency_rows()[1]``, under its contract."""
+        return self.adjacency_rows()[1]
 
-    def neighbor_array(self) -> "tuple[array[int], array[int]]":
-        """Signs-ignored adjacency as flat arrays, lazily cached.
+    def neighbor_rows(
+        self, rows: Iterable[int] | None = None,
+    ) -> list[list[int]]:
+        """Signs-ignored adjacency as one ascending neighbour list per
+        vertex, built per row on demand.
 
-        Returns ``(offsets, neighbors)``: the neighbours of ``v`` are
-        ``neighbors[offsets[v]:offsets[v + 1]]``, ascending.  The
-        graph-level peels walk it instead of extracting bits from the
-        masks, one machine-word read per edge.  Dropped by every
-        mutation; callers must not mutate it or hold it across edits.
+        Entry ``v`` is ``sorted(N(v))``.  The rows of ``rows`` (every
+        row when ``None``) are built before this returns; any other
+        entry may be an unbuilt row, as in :meth:`adjacency_rows`.
+        The graph-level peels walk these lists, one machine-word read
+        per edge.  Every call returns the same list; an edge edit
+        drops both endpoints' rows and a vertex edit drops the list,
+        so callers must not mutate it or hold a row across edits.
         """
-        if self._neighbor_array is None:
-            offsets = array("i", [0])
-            neighbors = array("i")
-            for pos, neg in zip(self._pos, self._neg):
-                neighbors.extend(sorted(pos | neg))
-                offsets.append(len(neighbors))
-            self._neighbor_array = offsets, neighbors
-        return self._neighbor_array
+        lists = self._neighbor_rows
+        if lists is None:
+            with _ROWS_LOCK:
+                if self._neighbor_rows is None:
+                    self._neighbor_rows = [_UNBUILT] * len(self._pos)
+                lists = self._neighbor_rows
+        for v in range(len(lists)) if rows is None else rows:
+            if lists[v] is _UNBUILT:
+                lists[v] = sorted(self._pos[v] | self._neg[v])
+        return lists
+
+    def built_rows(self) -> tuple[list[int], list[int]]:
+        """The vertices whose mask rows and whose neighbour rows are
+        built, each ascending: what the solves so far asked for."""
+        masks = [] if self._masks is None else [
+            v for v, row in enumerate(self._masks[0])
+            if row is not _UNBUILT]
+        lists = [] if self._neighbor_rows is None else [
+            v for v, row in enumerate(self._neighbor_rows)
+            if row is not _UNBUILT]
+        return masks, lists
 
     def all_bits(self) -> int:
         """Mask of the full vertex set ``0..n-1``."""
         return full_mask(self.num_vertices)
 
-    def _invalidate_bits(self) -> None:
-        self._pos_bits = None
-        self._neg_bits = None
-        self._neighbor_array = None
+    def _drop_rows(self) -> None:
+        """Forget both row caches (a vertex edit)."""
+        self._masks_complete = False
+        self._masks = None
+        self._neighbor_rows = None
 
     def _check_ids(self, u: int, v: int | None = None) -> None:
         """Reject an out-of-range edge ``(u, v)`` (or vertex ``u``)
@@ -380,39 +469,48 @@ class SignedGraph:
 
     def _link(self, u: int, v: int, sign: int) -> None:
         """Join ``u`` and ``v`` with ``sign``: adjacency, counter and
-        (built) masks.  Drops the CSR array; the caller edits the
-        fingerprint row (:meth:`_edit_row`)."""
+        built mask rows.  Drops both neighbour rows; the caller edits
+        the fingerprint row (:meth:`_edit_row`)."""
         if sign == POSITIVE:
-            adjacency, masks = self._pos, self._pos_bits
+            adjacency = self._pos
             self._pos_edges += 1
         else:
-            adjacency, masks = self._neg, self._neg_bits
+            adjacency = self._neg
             self._neg_edges += 1
         adjacency[u].add(v)
         adjacency[v].add(u)
-        if masks is not None:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        self._neighbor_array = None
+        self._patch_rows(u, v, sign, True)
 
     def _unlink(self, u: int, v: int) -> int:
         """Delete edge ``(u, v)`` as :meth:`_link` adds one; returns
         the sign it had.  Raises ``KeyError`` if no edge joins them."""
         if v in self._pos[u]:
-            sign, adjacency, masks = POSITIVE, self._pos, self._pos_bits
+            sign, adjacency = POSITIVE, self._pos
             self._pos_edges -= 1
         elif v in self._neg[u]:
-            sign, adjacency, masks = NEGATIVE, self._neg, self._neg_bits
+            sign, adjacency = NEGATIVE, self._neg
             self._neg_edges -= 1
         else:
             raise KeyError(f"no edge between {u} and {v}")
         adjacency[u].discard(v)
         adjacency[v].discard(u)
-        if masks is not None:
-            masks[u] &= ~(1 << v)
-            masks[v] &= ~(1 << u)
-        self._neighbor_array = None
+        self._patch_rows(u, v, sign, False)
         return sign
+
+    def _patch_rows(self, u: int, v: int, sign: int,
+                    linked: bool) -> None:
+        """Reflect an edge ``(u, v)`` of ``sign`` just linked (or
+        unlinked) in the built rows: set (or clear) its bit in both
+        endpoints' mask rows, and drop both neighbour rows."""
+        if self._masks is not None:
+            masks = self._masks[sign == NEGATIVE]
+            for a, b in ((u, v), (v, u)):
+                row = masks[a]
+                if row is not _UNBUILT:
+                    masks[a] = row | (1 << b) if linked else row & ~(1 << b)
+        lists = self._neighbor_rows
+        if lists is not None:
+            lists[u] = lists[v] = _UNBUILT
 
     def _edit_row(self, u: int, v: int, added: int | None,
                   removed: int | None) -> None:
@@ -483,7 +581,7 @@ class SignedGraph:
         if self._row_sums is not None:
             self._row_sums.append(0)
             self._row_tokens.append(0)
-        self._invalidate_bits()
+        self._drop_rows()
         if self._labels is not None:
             self._labels.append(label if label is not None
                                 else str(len(self._pos) - 1))
@@ -558,7 +656,7 @@ class SignedGraph:
         """Remove all edges incident to ``v`` (used by peeling reductions).
 
         Raises ``ValueError`` if ``v`` is out of range.  Drops the
-        cached masks, like :meth:`add_vertex`.
+        row caches, like :meth:`add_vertex`.
         """
         self._check_ids(v)
         if self._row_sums is not None:
@@ -578,7 +676,7 @@ class SignedGraph:
         self._neg_edges -= len(self._neg[v])
         self._pos[v] = set()
         self._neg[v] = set()
-        self._invalidate_bits()
+        self._drop_rows()
 
     # ------------------------------------------------------------------
     # Subgraphs
@@ -691,7 +789,9 @@ class SignedGraph:
         """Check structural invariants; raises ``AssertionError`` on breakage.
 
         Intended for tests and after bulk construction — verifies
-        symmetry, sign-disjointness and absence of self-loops.
+        symmetry, sign-disjointness, absence of self-loops, and that
+        every built mask row and neighbour row matches the adjacency
+        sets.
         """
         n = self.num_vertices
         for v in self.vertices():
@@ -711,6 +811,16 @@ class SignedGraph:
             f"positive edge counter {self._pos_edges} != {pos_sum}"
         assert self._neg_edges == neg_sum, \
             f"negative edge counter {self._neg_edges} != {neg_sum}"
+        masks, lists = self.built_rows()
+        for v in masks:
+            assert self._masks is not None
+            assert self._masks[0][v] == mask_of(self._pos[v]) \
+                and self._masks[1][v] == mask_of(self._neg[v]), \
+                f"stale mask row {v}"
+        for v in lists:
+            assert self._neighbor_rows is not None
+            assert self._neighbor_rows[v] == sorted(self.neighbors(v)), \
+                f"stale neighbour row {v}"
 
     def degree_statistics(self) -> Mapping[str, float]:
         """Summary statistics used by dataset reports."""

@@ -20,6 +20,7 @@ from .graph import NEGATIVE, POSITIVE, SignedGraph
 __all__ = [
     "read_edge_list",
     "read_edge_lines",
+    "read_edge_text",
     "write_edge_list",
     "parse_edge_lines",
     "load_signed_graph",
@@ -117,6 +118,59 @@ def read_edge_lines(lines: Iterable[str]) -> SignedGraph:
     if graph is None:
         raise _first_conflict(us, vs, signs)
     return graph
+
+
+def read_edge_text(text: str) -> SignedGraph:
+    """:func:`read_edge_lines` over the lines of one text blob.
+
+    The graph and every ``ValueError`` are those of
+    ``read_edge_lines(text.splitlines())``.  A blob whose every line
+    is exactly ``u v sign``, with single spaces and ``\n`` line ends,
+    is read in bulk (:func:`_read_plain`); any other blob, and any
+    plain one that some line would make raise, is read by the line
+    loop, which stays the one definition of the syntax and of its
+    ``line N`` messages.
+    """
+    graph = _read_plain(text)
+    if graph is None:
+        graph = read_edge_lines(text.splitlines())
+    return graph
+
+
+def _read_plain(text: str) -> SignedGraph | None:
+    """The bulk read behind :func:`read_edge_text`, or ``None`` when
+    the text is not plain or a line of it is not accepted.
+
+    One ``split()`` gives the tokens, slicing gives the three columns,
+    and re-joining them is the shape check: it rebuilds the text
+    exactly iff every line is ``u v sign`` with single spaces (a
+    trailing ``\n`` allowed), so the lines are those ``splitlines``
+    yields and each holds the three tokens the loop would read.  Ids
+    are compacted over the distinct tokens with one ``int()`` each
+    (the loop's own conversion, so ``01`` and ``1`` are one vertex),
+    and signs map through the loop's table.  A comment's ``#`` token
+    fails ``int()``; a self-loop or an opposite-sign duplicate fails
+    the bulk builder.  Each returns ``None`` before any message is
+    written.
+    """
+    tokens = text.split()
+    us, vs, signs = tokens[0::3], tokens[1::3], tokens[2::3]
+    plain = "\n".join(map(" ".join, zip(us, vs, signs)))
+    if text != plain and text != plain + "\n":
+        return None
+    try:
+        value = {token: int(token) for token in {*us, *vs}}
+    except ValueError:
+        return None
+    ids = sorted({*value.values()})
+    rank = {old: new for new, old in enumerate(ids)}
+    index = {token: rank[old] for token, old in value.items()}
+    if not {*signs}.issubset(_SIGN_OF):
+        return None
+    return SignedGraph._from_columns(
+        len(ids), list(map(index.__getitem__, us)),
+        list(map(index.__getitem__, vs)),
+        list(map(_SIGN_OF.__getitem__, signs)))
 
 
 def _first_conflict(us: Sequence[int], vs: Sequence[int],

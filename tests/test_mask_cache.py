@@ -10,12 +10,13 @@ the caller's edges or fingerprint.
 The masks themselves stay current across edge edits (patched in
 place, the same list object); vertex edits drop them.
 
-The graph-level peels walk a third cache, the flat neighbour array of
-``neighbor_array()``.  A stale array still yields the right optimum
-(it only reorders the sweep), so its guards check the cache itself:
-built once, dropped by every mutator, never shared by ``copy()``, and
-after each mutation the degeneracy order it feeds equals the order on
-a fresh copy.
+The graph-level peels walk a third cache, the ascending neighbour
+lists of ``neighbor_rows()``.  A stale row still yields the right
+optimum (it only reorders the sweep), so its guards check the cache
+itself: built once, dropped (the touched rows) by every mutator, never
+shared by ``copy()``, and after each mutation the degeneracy order it
+feeds equals the order on a fresh copy.  Both caches fill per row, on
+demand; ``tests/test_rows.py`` covers what a solve asks for.
 """
 
 from __future__ import annotations
@@ -117,18 +118,16 @@ def test_solve_leaves_graph_untouched(engine, parallel,
 
 def _array_order(graph: SignedGraph) -> list[int]:
     """Degeneracy order of the whole graph, fed from its cached
-    neighbour array (the path MBC* and PF* order on)."""
+    neighbour rows (the path MBC* and PF* order on)."""
     members = list(graph.vertices())
-    offsets, targets = graph.neighbor_array()
     return degeneracy_ordering_array(
-        offsets, targets, members,
+        graph.neighbor_rows(), members,
         degrees_inside(graph, members, graph.all_bits()))
 
 
 #: One edit per mutator.  Each edit but the sign flip moves the
-#: array-fed order, so a stale array also fails the order check; the
-#: flip leaves the signs-ignored adjacency alone and is caught by
-#: identity.
+#: row-fed order, so a stale row also fails the order check; the flip
+#: leaves the signs-ignored adjacency alone and is caught by identity.
 NEIGHBOR_MUTATORS = {
     "add_vertex": lambda g: g.add_vertex(),
     "add_edge": lambda g: g.add_edge(*next(
@@ -170,33 +169,34 @@ def test_edge_edits_keep_the_masks_current():
 
 def test_neighbor_array_is_built_once():
     graph = _planted()
-    offsets, targets = graph.neighbor_array()
-    assert graph.neighbor_array()[0] is offsets
-    assert graph.neighbor_array()[1] is targets
+    rows = graph.neighbor_rows()
+    built = list(rows)
+    assert graph.neighbor_rows() is rows
+    assert all(a is b for a, b in zip(graph.neighbor_rows(), built))
     for v in graph.vertices():
-        assert list(targets[offsets[v]:offsets[v + 1]]) \
-            == sorted(graph.neighbors(v))
+        assert rows[v] == sorted(graph.neighbors(v))
 
 
 @pytest.mark.parametrize("mutate", list(NEIGHBOR_MUTATORS.values()),
                          ids=list(NEIGHBOR_MUTATORS))
 def test_every_mutator_drops_the_neighbor_array(mutate):
     graph = _planted()
-    stale = graph.neighbor_array()
+    stale = list(graph.neighbor_rows())
     _array_order(graph)
     mutate(graph)
-    fresh = graph.neighbor_array()
-    assert fresh is not stale
-    assert fresh == graph.copy().neighbor_array()
+    fresh = graph.neighbor_rows()
+    assert any(fresh[v] is not row for v, row in enumerate(stale))
+    assert fresh == graph.copy().neighbor_rows()
     assert _array_order(graph) == _array_order(graph.copy())
 
 
 def test_copy_does_not_share_the_neighbor_array():
     graph = _planted()
-    offsets, targets = graph.neighbor_array()
+    rows = graph.neighbor_rows()
+    snapshot = [list(row) for row in rows]
     clone = graph.copy()
-    assert clone.neighbor_array()[0] is not offsets
-    assert clone.neighbor_array()[1] is not targets
+    assert clone.neighbor_rows() is not rows
+    assert not any(a is b for a, b in zip(clone.neighbor_rows(), rows))
     clone.isolate_vertex(LEFT[0])
-    assert graph.neighbor_array() == (offsets, targets)
-    assert clone.neighbor_array() != (offsets, targets)
+    assert graph.neighbor_rows() == snapshot
+    assert clone.neighbor_rows() != snapshot

@@ -168,11 +168,10 @@ class TestPoolGate:
         required = 2 + seed % 5
         members = list(graph.vertices())
         degree = degrees_inside(graph, members, graph.all_bits())
-        offsets, targets = graph.neighbor_array()
-        inside = k_core_array(offsets, targets, required - 1, members,
-                              degree)
+        neighbors = graph.neighbor_rows()
+        inside = k_core_array(neighbors, required - 1, members, degree)
         core = [v for v in members if inside[v]]
-        order = degeneracy_ordering_array(offsets, targets, core, degree)
+        order = degeneracy_ordering_array(neighbors, core, degree)
         costs = peel_costs(order, degree, required - 1)
         planned = [t.cost for t in plan_tasks(
             graph.pos_adjacency_bits(), graph.neg_adjacency_bits(), order)

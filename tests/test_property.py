@@ -94,19 +94,19 @@ def larger_graph(seed: int) -> SignedGraph:
 def core_orders(graph: SignedGraph, alive: int,
                 k: int) -> "tuple[list[int], list[int]]":
     """The degeneracy order of ``graph``'s ``k``-core inside ``alive``,
-    once from the masks and once from the cached neighbour array (the
+    once from the masks and once from the cached neighbour rows (the
     path MBC* runs); the two peels must keep the same core."""
     unsigned = [p | q for p, q in zip(graph.pos_adjacency_bits(),
                                       graph.neg_adjacency_bits())]
     core_mask = k_core_active_mask(unsigned, k, alive)
     members = bits_of(alive)
     degree = degrees_inside(graph, members, alive)
-    offsets, targets = graph.neighbor_array()
-    inside = k_core_array(offsets, targets, k, members, degree)
+    neighbors = graph.neighbor_rows(members)
+    inside = k_core_array(neighbors, k, members, degree)
     core = [v for v in members if inside[v]]
     assert core == bits_of(core_mask)
     return (degeneracy_ordering_mask(unsigned, core_mask),
-            degeneracy_ordering_array(offsets, targets, core, degree))
+            degeneracy_ordering_array(neighbors, core, degree))
 
 
 def whole_graph_mask_order(graph: SignedGraph) -> "list[int]":

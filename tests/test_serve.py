@@ -29,6 +29,7 @@ from repro.core.mbc_star import mbc_star
 from repro.core.pf import pf_star
 from repro.core.result import BalancedClique, SolveResult
 from repro.serve import (
+    DATASET_MEMO_CAPACITY,
     BackgroundServer,
     ProtocolError,
     ResultCache,
@@ -332,6 +333,19 @@ class TestSolveValidation:
                               "problem": "mbc"}, "scale")
         self._reject(server, {"graph": "dataset:bitcoin@0",
                               "problem": "mbc"}, "scale")
+
+    @pytest.mark.parametrize("scale", ["inf", "1e400", "-inf", "nan"])
+    def test_non_finite_dataset_scale_is_400(self, server, scale):
+        ref = f"dataset:bitcoin@{scale}"
+        before = counters(server)
+        self._reject(server, {"graph": ref, "problem": "mbc"},
+                     "finite", ref)
+        status, body = post(server, "/graphs", {
+            "name": "g", "graph": ref, "tau": 3})
+        assert status == 400, body
+        assert "finite" in body["error"] and ref in body["error"]
+        after = counters(server)
+        assert counter_delta(before, after, "serve.errors") == 0
 
     def test_unregistered_graph_ref_is_404(self, server):
         status, body = post(server, "/solve", {
@@ -916,6 +930,22 @@ class TestServiceCore:
         with pytest.raises(ProtocolError) as excinfo:
             parse_dataset_ref("dataset:bitcoin@-1")
         assert excinfo.value.status == 400
+
+    def test_dataset_memo_is_bounded_lru(self):
+        service = SolverService()
+        hot = service.load_dataset("bitcoin", 0.05)
+        fingerprint = hot.fingerprint()
+        for i in range(40):
+            service.load_dataset("bitcoin", 0.001 * (i + 1))
+            # The hot ref is asked for between the cold ones.
+            graph, registered = service.resolve_graph(
+                "dataset:bitcoin@0.05")
+            assert graph is hot and registered is None
+        assert len(service._datasets) <= DATASET_MEMO_CAPACITY == 32
+        assert service.dataset_cached("dataset:bitcoin@0.05")
+        assert not service.dataset_cached("dataset:bitcoin@0.001")
+        assert service.dataset_cached("dataset:bitcoin@0.04")
+        assert hot.fingerprint() == fingerprint
 
     def test_service_rejects_unknown_default_engine(self):
         # The service has no engine knob at all.

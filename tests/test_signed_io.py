@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.signed.graph import NEGATIVE, POSITIVE, SignedGraph
-from repro.signed.io import load_signed_graph, parse_edge_lines, \
-    read_edge_lines, read_edge_list, save_signed_graph, write_edge_list
+from repro.signed.io import _read_plain, load_signed_graph, \
+    parse_edge_lines, read_edge_lines, read_edge_list, read_edge_text, \
+    save_signed_graph, write_edge_list
 
 from .conftest import signed_graphs
 
@@ -304,6 +305,100 @@ class TestBulkIngestDifferential:
         with pytest.raises(ValueError) as caught:
             read_edge_list(io.StringIO(text))
         assert str(caught.value) == message
+
+
+_TEXT_IDS = st.sampled_from(["0", "1", "2", "3", "5", "9", "40", "1000",
+                             "-3", "-12", "01", "-0", "+7"])
+_TEXT_SIGNS = st.sampled_from(["1", "-1", "+1", "+", "-"])
+#: Token gaps and line ends: the plain ones most of the time.
+_TEXT_GAPS = st.sampled_from([" "] * 8 + ["\t", "  ", "\x0b", "\x85",
+                                          "\xa0", "\x0c"])
+_TEXT_ENDS = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x0b", "\x85",
+                                          "\u2028", "\x1e"])
+#: Whole lines the line loop skips or rejects.
+_NEAR_MISS_LINES = st.sampled_from([
+    "# comment", "#", "", "   ", "0 0 1", "01 1 -", "-0 0 1", "1 x 1",
+    "1.5 2 1", "1 2 2", "1 2 +-", "1 2 plus", "1 2", "1 2 1 1",
+])
+
+
+@st.composite
+def _edge_texts(draw, plain=False):
+    """An edge-list text blob: ``u v sign`` lines, single spaces and
+    ``\n`` ends when ``plain``; otherwise also other gaps and line
+    ends, leading and trailing spaces, skipped and rejected lines.
+    Either way some edges repeat, reversed, some with the other sign
+    (a conflicting duplicate), and ids are spelled with leading
+    zeros, signs and negatives."""
+    end = "\n" if plain else draw(_TEXT_ENDS)
+    lines = []
+    edges = []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["repeat"]
+                                    + ["near-miss"] * (not plain)))
+        if kind == "near-miss":
+            lines.append(draw(_NEAR_MISS_LINES))
+            continue
+        if kind == "repeat" and edges:
+            v, u, token = draw(st.sampled_from(edges))
+            if draw(st.booleans()):
+                token = "1" if token.startswith("-") else "-"
+        else:
+            u = draw(_TEXT_IDS)
+            v = draw(_TEXT_IDS.filter(lambda v: int(v) != int(u)))
+            token = draw(_TEXT_SIGNS)
+            edges.append((u, v, token))
+        gap = " " if plain else draw(_TEXT_GAPS)
+        lead, tail = ("", "") if plain else draw(st.sampled_from(
+            [("", "")] * 6 + [(" ", ""), ("", " "), ("\t", "\t")]))
+        lines.append(f"{lead}{u}{gap}{v} {token}{tail}")
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _text_outcome(build):
+    """:func:`_outcome` plus each adjacency set's iteration order, so
+    the graphs must match byte for byte, not only as sets."""
+    outcome = _outcome(build)
+    if outcome[0] == "graph":
+        graph = build()
+        outcome += ([list(graph.pos_neighbors(v)) for v in graph.vertices()],
+                    [list(graph.neg_neighbors(v)) for v in graph.vertices()])
+    return outcome
+
+
+class TestBulkTextRead:
+    """``read_edge_text`` reads plain blobs in bulk and everything else
+    through the line loop; every blob must give what the line loop
+    gives: graph, counters, fingerprint, or the exact error."""
+
+    @given(_edge_texts())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_the_line_loop(self, text):
+        assert _text_outcome(lambda: read_edge_text(text)) \
+            == _text_outcome(lambda: read_edge_lines(text.splitlines()))
+
+    @given(_edge_texts(plain=True))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_plain_texts_are_read_in_bulk(self, text):
+        expected = _text_outcome(
+            lambda: read_edge_lines(text.splitlines()))
+        bulk = _read_plain(text)
+        if expected[0] == "error":
+            assert bulk is None
+        else:
+            assert bulk is not None
+            assert _text_outcome(lambda: _read_plain(text)) == expected
+
+    @pytest.mark.parametrize("text", [
+        "0 1 1\t\n", "0 1 1\r\n1 2 -1", "0 1 1\n\n", " 0 1 1",
+        "0  1 1", "0 1 1\x851 2 1", "# 0 1\n0 1 1", "0 1 1\n1 1 -1",
+        "0 1 1\n1 0 -1", "0 1 x", "a 1 1", "0 1", "0 1 1 1\n2 3",
+        "0 1 1\n\u2028", "1 01 1",
+    ])
+    def test_near_misses_fall_back_to_the_line_loop(self, text):
+        assert _read_plain(text) is None
+        assert _text_outcome(lambda: read_edge_text(text)) \
+            == _text_outcome(lambda: read_edge_lines(text.splitlines()))
 
 
 def _add_edge_loop(n, triples):

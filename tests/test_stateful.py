@@ -3,9 +3,11 @@
 * :class:`SignedGraphMachine` drives a :class:`SignedGraph` through
   edge adds, removals, sign flips, vertex isolation and vertex
   appends — ids from ``-1`` to ``N``, so out-of-range edits are
-  exercised too — against a plain dict of signs.  After every step the
-  cached masks, the neighbour array, the incremental fingerprint and
-  ``validate()`` must agree with the model.
+  exercised too — against a plain dict of signs, and asks for some or
+  all of its mask rows and neighbour rows in between, so edits meet
+  partly built caches.  After every step each built row, the
+  incremental fingerprint and ``validate()`` must agree with the
+  model, and each unbuilt row must raise on use.
 * :class:`DynamicSolverMachine` drives a :class:`DynamicSolver`, once
   per available engine, through solver edits mixed with direct graph
   edits (each of which forces a rebuild at the next call), sign flips
@@ -73,8 +75,23 @@ class SignedGraphMachine(RuleBasedStateMachine):
         self.signs: dict[tuple[int, int], int] = {}
 
     def _masks(self) -> tuple[list[int], list[int]]:
-        return (self.graph.pos_adjacency_bits(),
-                self.graph.neg_adjacency_bits())
+        """The graph's mask lists, building no row."""
+        return self.graph.adjacency_rows(())
+
+    def _model(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """The model's positive and negative masks and its ascending
+        neighbour lists."""
+        n = self.n
+        pos = [0] * n
+        neg = [0] * n
+        adjacency: list[set[int]] = [set() for _ in range(n)]
+        for (u, v), sign in self.signs.items():
+            masks = pos if sign == POSITIVE else neg
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        return pos, neg, [sorted(nbrs) for nbrs in adjacency]
 
     def _edge_edit(self, edit, u: int, v: int, *args: int) -> object:
         """Run an edge edit; the cached masks must be patched in
@@ -84,6 +101,24 @@ class SignedGraphMachine(RuleBasedStateMachine):
         after = self._masks()
         assert after[0] is before[0] and after[1] is before[1]
         return result
+
+    @rule(rows=st.none() | st.lists(st.integers(0, N), max_size=N),
+          which=st.sampled_from(["masks", "neighbors", "both"]))
+    def ask_for_rows(self, rows: "list[int] | None", which: str) -> None:
+        """Ask for some rows (every row for ``None``): each one asked
+        for is then built and matches the model."""
+        if rows is not None:
+            rows = [v for v in rows if v < self.n]
+        wanted = range(self.n) if rows is None else rows
+        pos, neg, adjacency = self._model()
+        if which != "neighbors":
+            got_pos, got_neg = self.graph.adjacency_rows(rows)
+            for v in wanted:
+                assert (got_pos[v], got_neg[v]) == (pos[v], neg[v])
+        if which != "masks":
+            lists = self.graph.neighbor_rows(rows)
+            for v in wanted:
+                assert lists[v] == adjacency[v]
 
     @rule(u=ids, v=ids, sign=signs)
     def add_edge(self, u: int, v: int, sign: int) -> None:
@@ -146,21 +181,25 @@ class SignedGraphMachine(RuleBasedStateMachine):
         assert graph.num_vertices == n
         assert {(u, v): sign for u, v, sign in graph.edges()} \
             == self.signs
-        pos = [0] * n
-        neg = [0] * n
-        adjacency: list[set[int]] = [set() for _ in range(n)]
-        for (u, v), sign in self.signs.items():
-            masks = pos if sign == POSITIVE else neg
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        assert self._masks() == (pos, neg)
-        offsets, targets = graph.neighbor_array()
-        assert len(offsets) == n + 1
+        pos, neg, adjacency = self._model()
+        # Asking for the built rows builds nothing; every other row
+        # must raise on use, never read as an empty mask or list.
+        built_masks, built_lists = graph.built_rows()
+        got_pos, got_neg = graph.adjacency_rows(built_masks)
+        lists = graph.neighbor_rows(built_lists)
+        assert graph.built_rows() == (built_masks, built_lists)
+        assert len(got_pos) == len(got_neg) == len(lists) == n
         for v in range(n):
-            assert list(targets[offsets[v]:offsets[v + 1]]) \
-                == sorted(adjacency[v])
+            if v in built_masks:
+                assert (got_pos[v], got_neg[v]) == (pos[v], neg[v])
+            else:
+                with pytest.raises(LookupError):
+                    bool(got_pos[v] | got_neg[v])
+            if v in built_lists:
+                assert lists[v] == adjacency[v]
+            else:
+                with pytest.raises(LookupError):
+                    len(lists[v])
         fresh = SignedGraph.from_signed_edges(
             n, [(u, v, sign) for (u, v), sign in self.signs.items()])
         assert graph.fingerprint() == graph.copy().fingerprint() \
